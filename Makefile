@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: help build fmt vet staticcheck test cover cover-summary cover-floor fuzz fuzz-smoke verify race bench bench-smoke bench-compare smoke figures serve loadgen
+.PHONY: help build fmt vet staticcheck test cover cover-summary cover-floor fuzz fuzz-smoke verify race bench bench-smoke bench-compare perfbench smoke figures serve loadgen
 
 # help lists the targets. Serving quick-reference:
 #   make serve    starts cmd/gpuvard on :8080 — the experiment service.
@@ -158,7 +158,7 @@ fuzz-smoke:
 # verify is the tier-1 gate plus the cheap guards: gofmt, vet,
 # staticcheck, tests with the coverage floor, a fuzz smoke, a
 # one-iteration benchmark smoke run, and the benchmark-regression gate
-# against the committed trajectory (BENCH_9.json). The stage sequence
+# against the committed trajectory (BENCH_11.json). The stage sequence
 # lives in scripts/verify.sh, which reports which stage failed.
 verify:
 	scripts/verify.sh
@@ -170,15 +170,15 @@ verify:
 race:
 	$(GO) test -race -short ./...
 
-# bench records the full benchmark suite into BENCH_10.json with PR 9's
-# BENCH_9.json embedded as the baseline (name → ns/op, B/op, allocs/op,
+# bench records the full benchmark suite into BENCH_11.json with
+# BENCH_10.json embedded as the baseline (name → ns/op, B/op, allocs/op,
 # plus custom units like ReplayBurst's p99-ms/ttfl-ms under "metrics").
 # Pass BENCH='regexp' to restrict, e.g.
 #   make bench BENCH='Fig04|ExtCampaign' COUNT=3
 BENCH ?= .
 COUNT ?= 1
 bench:
-	$(GO) run ./cmd/benchjson -bench '$(BENCH)' -count $(COUNT) -baseline BENCH_9.json -out BENCH_10.json
+	$(GO) run ./cmd/benchjson -bench '$(BENCH)' -count $(COUNT) -baseline BENCH_10.json -out BENCH_11.json
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig01' -benchtime 1x .
@@ -186,7 +186,7 @@ bench-smoke:
 # bench-compare is the benchmark-regression gate: re-measure the gate
 # benchmarks and fail if ns/op regressed past BENCH_TOLERANCE or
 # allocs/op past BENCH_ALLOC_TOLERANCE against the committed
-# BENCH_10.json. GATE_BENCH keeps the gate fast and focused on the two
+# BENCH_11.json. GATE_BENCH keeps the gate fast and focused on the two
 # perf wins PR 1 banked, the engine-backed sweep surfaces (both axis
 # forms), the PR 4 async-job plumbing, the PR 5 streaming and
 # classed-scheduler paths, the PR 6 retry plumbing (a fault-free run
@@ -209,8 +209,16 @@ BENCH_ALLOC_TOLERANCE ?= 0.25
 # wall cost.
 bench-compare:
 	$(GO) run ./cmd/benchjson -bench '$(GATE_BENCH)' -count 3 -benchtime 100x \
-		-out /tmp/bench_gate.json -compare BENCH_10.json \
+		-out /tmp/bench_gate.json -compare BENCH_11.json \
 		-tolerance $(BENCH_TOLERANCE) -alloc-tolerance $(BENCH_ALLOC_TOLERANCE)
+
+# perfbench runs the repository benchmark declared in BENCHMARK.json
+# (one workload, one JSON result line; see perfbench/main.go). Pass
+# PERFBENCH_ARGS to pick the run, e.g.
+#   make perfbench PERFBENCH_ARGS='--workload paper-full --seed 101 --seconds 30 --trace 0'
+PERFBENCH_ARGS ?= --workload paper-full --seed 1 --seconds 30 --trace 0
+perfbench:
+	bash perfbench/run.sh $(PERFBENCH_ARGS)
 
 figures:
 	$(GO) run ./cmd/figures

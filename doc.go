@@ -38,16 +38,25 @@
 //     part of the profile. Devices memoize solved points keyed by
 //     (workload, ambient offset, P-state dither, chip defect generation),
 //     which collapses the benchmarking-campaign loop (the same GPU
-//     re-benchmarked every coverage period) to one solve per GPU.
+//     re-benchmarked every coverage period) to one solve per GPU. The
+//     solve's inner step, gpu.Chip.MaxClockUnderCap, binary-searches a
+//     cached StepDown clock ladder (keyed by the SKU's clock-grid
+//     values, never by *SKU) and sums idle plus leakage power once per
+//     call; total power never decreases up the ladder, so the search
+//     returns exactly what a step-by-step scan would.
 //
 //   - Iteration synthesis (sim.RunSteady) addresses all per-kernel state
 //     through a kernelIndex — kernel names interned to dense slice
-//     indices once per run — instead of string-keyed maps, and
-//     preallocates every accumulator to its exact final size.
+//     indices once per run — instead of string-keyed maps, carves every
+//     per-run buffer from one flat arena, takes the jitter lognormal
+//     parameters once per run (rng.LogNormalParams), and computes
+//     medians by O(n) quickselect in reused scratch.
 //
 //   - Figure regeneration (internal/figures) builds its ID→generator
 //     registry once, deduplicates shared experiments through a
-//     singleflight session cache, and offers GenerateAllParallel
+//     singleflight session cache (SGEMM runs keyed by cluster,
+//     normalized fraction and runs, and day, so equal experiments from
+//     different figures are one run), and offers GenerateAllParallel
 //     (cmd/figures -parallel) to run independent generators concurrently
 //     with byte-identical output order.
 //
@@ -104,7 +113,7 @@
 //
 // and to record the benchmark trajectory across PRs:
 //
-//	make bench            # full suite → BENCH_10.json (ns/op, B/op, allocs/op)
+//	make bench            # full suite → BENCH_11.json (ns/op, B/op, allocs/op)
 //	make verify           # tier-1 tests + vet + bench smoke + regression gate
 //
 // # Serving
@@ -531,7 +540,7 @@
 // adaptive sweep — plus the dispatched-sweep overhead guard and the
 // burst-trace replay (latency under production-shaped arrivals) — and
 // fails on >25% ns/op or allocs/op growth against the committed
-// BENCH_10.json), the race job (go test -race -short
+// BENCH_11.json), the race job (go test -race -short
 // ./...), and the smoke job (make smoke — build gpuvard, boot it
 // recording its own traffic, replay the committed burst trace twice
 // asserting zero oracle mismatches and identical run digests, and

@@ -297,11 +297,14 @@ func (s Spec) Instantiate(seed uint64) *Fleet {
 
 	locs := s.locations()
 	total := len(locs)
+	// Every chip shares the fleet's one SKU: chips only read it, and a
+	// SKU per chip would cost a copy per GPU on Summit-sized fleets.
+	sku := s.SKU()
 	for i, loc := range locs {
 		loc.Pos = float64(i) / float64(max(total-1, 1))
 		chipStream := parent.SplitIndex("chip", i)
 		thermStream := parent.SplitIndex("therm", i)
-		chip := gpu.NewChip(s.SKU(), loc.GPUID(), s.Variation, chipStream)
+		chip := gpu.NewChip(sku, loc.GPUID(), s.Variation, chipStream)
 		node := thermal.NewNode(s.Cooling, loc.Pos, thermStream)
 		f.Members = append(f.Members, &Member{Chip: chip, Therm: node, Loc: loc})
 	}

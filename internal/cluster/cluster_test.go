@@ -63,6 +63,23 @@ func TestInstantiateCounts(t *testing.T) {
 	}
 }
 
+// sharesOneSKU fails unless every chip of f points at the same SKU.
+func sharesOneSKU(t *testing.T, f *Fleet) {
+	t.Helper()
+	sku := f.Members[0].Chip.SKU
+	for _, m := range f.Members {
+		if m.Chip.SKU != sku {
+			t.Fatalf("%s: chip %s has its own *SKU; a fleet shares one", f.Spec.Name, m.Chip.ID)
+		}
+	}
+}
+
+func TestInstantiateSharesOneSKU(t *testing.T) {
+	for _, spec := range All() {
+		sharesOneSKU(t, spec.Instantiate(3))
+	}
+}
+
 func TestInstantiateDeterministic(t *testing.T) {
 	a := Longhorn().Instantiate(7)
 	b := Longhorn().Instantiate(7)

@@ -20,6 +20,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(loaded.Members) != len(orig.Members) {
 		t.Fatalf("member count %d vs %d", len(loaded.Members), len(orig.Members))
 	}
+	sharesOneSKU(t, loaded)
 	for i := range orig.Members {
 		a, b := orig.Members[i], loaded.Members[i]
 		if a.Chip.ID != b.Chip.ID {

@@ -21,7 +21,6 @@ import (
 	"gpuvar/internal/cluster"
 	"gpuvar/internal/core"
 	"gpuvar/internal/engine"
-	"gpuvar/internal/workload"
 )
 
 // Config scales the experiments. The zero value is usable: it selects
@@ -143,18 +142,39 @@ func isCancellation(err error) bool {
 
 // sgemmOn returns the cached SGEMM characterization of a cluster.
 func (s *Session) sgemmOn(ctx context.Context, spec cluster.Spec, runs int) (*core.Result, error) {
-	wl := workload.SGEMMForCluster(spec.SKU())
-	wl.Iterations = s.Cfg.Iterations
+	return s.runSGEMM(ctx, s.sgemmExperiment(spec, runs, 0))
+}
+
+// sgemmExperiment builds the session's SGEMM experiment on a cluster:
+// Summit measured at the session's fraction, every other cluster whole.
+func (s *Session) sgemmExperiment(spec cluster.Spec, runs, day int) core.Experiment {
 	exp := core.Experiment{
 		Cluster:  spec,
-		Workload: wl,
+		Workload: s.sgemmWorkload(spec),
 		Seed:     s.Cfg.Seed,
 		Runs:     runs,
+		Day:      day,
 	}
 	if spec.Name == "Summit" {
 		exp.Fraction = s.Cfg.SummitFraction
 	}
-	return s.run(ctx, fmt.Sprintf("sgemm:%s:r%d", spec.Name, runs), exp)
+	return exp
+}
+
+// runSGEMM runs (or returns the cached) session SGEMM experiment, keyed
+// by what determines its result — the cluster, the fraction and run
+// count as core normalizes them, and the day-of-week profile (the seed
+// and iteration count are the session's). Equal experiments reached
+// through different figures therefore share one run: at SummitFraction
+// 1 the row-H deep dive, Fig. 20's Monday and the Summit
+// characterization are one run.
+func (s *Session) runSGEMM(ctx context.Context, exp core.Experiment) (*core.Result, error) {
+	frac := exp.Fraction
+	if frac <= 0 || frac > 1 {
+		frac = 1
+	}
+	key := fmt.Sprintf("sgemm:%s:f%v:r%d:d%d", exp.Cluster.Name, frac, max(exp.Runs, 1), exp.Day)
+	return s.run(ctx, key, exp)
 }
 
 // All returns every generator in paper order.

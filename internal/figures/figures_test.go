@@ -3,8 +3,11 @@ package figures
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
+
+	"gpuvar/internal/cluster"
 )
 
 // quickSession keeps figure tests fast.
@@ -208,5 +211,38 @@ func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Seed != 2022 || c.Iterations != 20 || c.SummitFraction != 0.08 {
 		t.Fatalf("defaults wrong: %+v", c)
+	}
+}
+
+// At SummitFraction 1 the row-H deep dive, Fig. 20's Monday and the
+// Summit characterization are one experiment: the session runs and
+// retains it once, and Fig. 20's other days are not retained.
+func TestSessionSharesFullSummitRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seven full-Summit runs are slow")
+	}
+	s := NewSession(Config{SummitFraction: 1, Iterations: 2, MLIterations: 2, Runs: 2})
+	ctx := context.Background()
+	if _, err := s.rowH(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := Generate(ctx, "fig20", s, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	summit, err := s.sgemmOn(ctx, cluster.Summit(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.done) != 1 {
+		keys := make([]string, 0, len(s.done))
+		for k := range s.done {
+			keys = append(keys, k)
+		}
+		t.Fatalf("session retains %d experiments %v, want the one shared Summit run", len(s.done), keys)
+	}
+	for _, e := range s.done {
+		if e.res != summit {
+			t.Fatal("sgemmOn did not return the run rowH and fig20 share")
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"gpuvar/internal/cluster"
 	"gpuvar/internal/core"
+	"gpuvar/internal/engine"
 	"gpuvar/internal/report"
 	"gpuvar/internal/stats"
 	"gpuvar/internal/workload"
@@ -223,12 +224,24 @@ func genFig21(ctx context.Context, s *Session, w io.Writer) error {
 }
 
 func weekStudy(ctx context.Context, s *Session, spec cluster.Spec, w io.Writer) error {
-	wl := s.sgemmWorkload(spec)
-	exp := core.Experiment{Cluster: spec, Workload: wl, Seed: s.Cfg.Seed}
-	if spec.Name == "Summit" {
-		exp.Fraction = s.Cfg.SummitFraction
-	}
-	days, err := core.WeekStudyCtx(ctx, exp)
+	// The seven days run concurrently on one fleet, each drawing fresh
+	// run-level jitter (core.WeekStudyCtx's results). Monday is the
+	// session's day-0 experiment, shared with the cluster's SGEMM
+	// characterization; the other six days are not retained.
+	days, err := engine.Map(ctx, len(core.DayNames), 0, func(ctx context.Context, day int) (*core.Result, error) {
+		exp := s.sgemmExperiment(spec, 1, day)
+		var r *core.Result
+		var err error
+		if day == 0 {
+			r, err = s.runSGEMM(ctx, exp)
+		} else {
+			r, err = core.RunWithCacheCtx(ctx, exp, s.fleets)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("figures: day %d: %w", day, err)
+		}
+		return r, nil
+	})
 	if err != nil {
 		return err
 	}
@@ -343,9 +356,9 @@ func genFig26(ctx context.Context, s *Session, w io.Writer) error {
 
 // rowH measures all of Summit's row H (the Appendix B deep dive).
 func (s *Session) rowH(ctx context.Context) (*core.Result, error) {
-	wl := s.sgemmWorkload(cluster.Summit())
-	exp := core.Experiment{Cluster: cluster.Summit(), Workload: wl, Seed: s.Cfg.Seed}
-	r, err := s.run(ctx, "summit-rowH", exp)
+	exp := s.sgemmExperiment(cluster.Summit(), 1, 0)
+	exp.Fraction = 1
+	r, err := s.runSGEMM(ctx, exp)
 	if err != nil {
 		return nil, err
 	}

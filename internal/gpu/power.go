@@ -89,18 +89,26 @@ func (c *Chip) IdlePower(tempC float64) float64 {
 // DVFS cannot stop the part, so at the floor the cap may be exceeded.
 //
 // This is the analytic core used by both the transient DVFS controller
-// (as its target) and the steady-state solver.
+// (as its target) and the steady-state solver. Total power never
+// decreases going up the SKU's StepDown ladder, so the clocks under the
+// cap form the ladder's low end and a binary search finds its top. The
+// idle-plus-leakage term is summed once per call, in the same order
+// TotalPower sums it, so every returned bit matches a step-by-step scan
+// down from the top clock.
 func (c *Chip) MaxClockUnderCap(capW, tempC float64, act Activity) (fMHz, powerW float64) {
-	f := c.SKU.QuantizeClock(c.MaxUsableClockMHz())
-	for {
-		p := c.TotalPower(f, tempC, act)
-		if p <= capW {
-			return f, p
+	static := c.IdlePower(tempC)
+	clocks := c.SKU.clockLadder(c.SKU.QuantizeClock(c.MaxUsableClockMHz()))
+	// The floor is the answer whenever nothing above it fits, so the
+	// search covers every clock but the last.
+	lo, hi := 0, len(clocks)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if static+c.DynamicPower(clocks[mid], act) <= capW {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		next := c.SKU.StepDown(f)
-		if next >= f { // at floor
-			return f, p
-		}
-		f = next
 	}
+	f := clocks[lo]
+	return f, static + c.DynamicPower(f, act)
 }

@@ -153,9 +153,17 @@ func (r *Source) LogNormalMeanSpread(mean, spread float64) float64 {
 	if spread <= 0 {
 		return mean
 	}
+	return r.LogNormal(LogNormalParams(mean, spread))
+}
+
+// LogNormalParams returns the underlying normal's mu and sigma for a
+// lognormal with the given mean and fractional spread (spread > 0).
+// LogNormal(LogNormalParams(mean, spread)) is exactly
+// LogNormalMeanSpread(mean, spread), so hot loops drawing many values
+// with one parameterization compute the logs and root once.
+func LogNormalParams(mean, spread float64) (mu, sigma float64) {
 	sigma2 := math.Log(1 + spread*spread)
-	mu := math.Log(mean) - sigma2/2
-	return r.LogNormal(mu, math.Sqrt(sigma2))
+	return math.Log(mean) - sigma2/2, math.Sqrt(sigma2)
 }
 
 // TruncGaussian returns a normal draw clamped to [lo, hi].

@@ -293,3 +293,19 @@ func BenchmarkNorm(b *testing.B) {
 		_ = r.Norm()
 	}
 }
+
+func TestLogNormalParamsMatchesMeanSpread(t *testing.T) {
+	for _, c := range []struct{ mean, spread float64 }{
+		{1, 0.2}, {1, 0.0125}, {1, 1e-300}, {3.5, 0.07}, {0.4, 2},
+	} {
+		a, b := New(41), New(41)
+		mu, sigma := LogNormalParams(c.mean, c.spread)
+		for i := 0; i < 1000; i++ {
+			want := a.LogNormalMeanSpread(c.mean, c.spread)
+			if got := b.LogNormal(mu, sigma); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("mean %v spread %v draw %d: LogNormal(LogNormalParams) = %v, LogNormalMeanSpread = %v",
+					c.mean, c.spread, i, got, want)
+			}
+		}
+	}
+}

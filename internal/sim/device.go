@@ -261,12 +261,11 @@ func commStream(jobSeed *rng.Source, wl workload.Workload, run int) *rng.Source 
 
 // weightedMedian returns the value at the 50% cumulative weight of the
 // (value, weight) pairs — how a fixed-interval sampler's median relates
-// to time-weighted states.
-func weightedMedian(vals, weights []float64) float64 {
+// to time-weighted states. idx is working space of len(vals).
+func weightedMedian(vals, weights []float64, idx []int) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	idx := make([]int, len(vals))
 	for i := range idx {
 		idx[i] = i
 	}

@@ -95,7 +95,7 @@ func EstimateNominalSteady(chip *gpu.Chip, node *thermal.Node, wl workload.Workl
 	for i := range ones {
 		ones[i] = 1
 	}
-	f, p, t := sp.medians(d, wl, ki, ones, hostMs, 0)
+	f, p, t := sp.medians(d, wl, ki, ones, hostMs, 0, &medianScratch{})
 	return NominalSteady{
 		PerfMs:           perf,
 		FreqMHz:          f,

@@ -267,13 +267,13 @@ func TestValidateRejectsGarbage(t *testing.T) {
 }
 
 func TestWeightedMedian(t *testing.T) {
-	if m := weightedMedian([]float64{1, 10}, []float64{9, 1}); m != 1 {
+	if m := weightedMedian([]float64{1, 10}, []float64{9, 1}, make([]int, 2)); m != 1 {
 		t.Fatalf("weightedMedian = %v, want 1", m)
 	}
-	if m := weightedMedian([]float64{1, 10}, []float64{1, 9}); m != 10 {
+	if m := weightedMedian([]float64{1, 10}, []float64{1, 9}, make([]int, 2)); m != 10 {
 		t.Fatalf("weightedMedian = %v, want 10", m)
 	}
-	if m := weightedMedian(nil, nil); m != 0 {
+	if m := weightedMedian(nil, nil, nil); m != 0 {
 		t.Fatalf("empty weightedMedian = %v", m)
 	}
 }

@@ -6,31 +6,52 @@ import (
 	"gpuvar/internal/workload"
 )
 
+// hostJitterSpread is the per-iteration spread of the host/input-
+// pipeline stall; hostJitterMu and hostJitterSigma are its lognormal
+// parameters, taken once for every steady run.
+const hostJitterSpread = 0.20
+
+var hostJitterMu, hostJitterSigma = rng.LogNormalParams(1, hostJitterSpread)
+
 // kernelIndex interns a workload's kernel names to dense indices, so the
 // steady-state hot loop addresses per-kernel state by slice index instead
-// of string-keyed map lookups. Kernels sharing a name share one slot
-// (matching the map semantics the index replaced).
+// of by name. Kernels sharing a name share one slot. Workloads carry a
+// handful of kernels, so a scan of the names beats building a map on
+// every run.
 type kernelIndex struct {
-	names  []string
-	byName map[string]int
+	names []string
 }
 
 func newKernelIndex(ks []workload.Kernel) *kernelIndex {
-	ki := &kernelIndex{byName: make(map[string]int, len(ks))}
+	ki := &kernelIndex{names: make([]string, 0, len(ks))}
 	for _, k := range ks {
-		if _, ok := ki.byName[k.Name]; !ok {
-			ki.byName[k.Name] = len(ki.names)
+		if _, ok := ki.lookup(k.Name); !ok {
 			ki.names = append(ki.names, k.Name)
 		}
 	}
 	return ki
 }
 
-func (ki *kernelIndex) n() int             { return len(ki.names) }
-func (ki *kernelIndex) of(name string) int { return ki.byName[name] }
+func (ki *kernelIndex) n() int { return len(ki.names) }
+
+// lookup returns name's dense index, if the workload has the kernel.
+func (ki *kernelIndex) lookup(name string) (int, bool) {
+	for i, n := range ki.names {
+		if n == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// of returns the dense index of one of the workload's kernel names.
+func (ki *kernelIndex) of(name string) int {
+	i, _ := ki.lookup(name)
+	return i
+}
 
 // planKernel pairs a kernel with its dense index so the iteration loop
-// never touches the name map.
+// never looks a name up.
 type planKernel struct {
 	k  workload.Kernel
 	di int
@@ -54,24 +75,6 @@ func RunSteady(devs []*Device, wl workload.Workload, jobStream *rng.Source, opt 
 
 	ki := newKernelIndex(wl.Kernels)
 
-	type devPlan struct {
-		st    *steadyPoint
-		sysF  []float64 // dense kernel index → persistent system factor
-		runF  float64
-		hostF float64
-		iter  *rng.Source
-	}
-	plans := make([]*devPlan, len(devs))
-	for i, d := range devs {
-		plans[i] = &devPlan{
-			st:    d.steadyPlan(wl, ki, opt),
-			sysF:  sysFactorsIndexed(d, wl, ki),
-			runF:  d.runFactor(wl, opt.Run),
-			hostF: d.HostStallFrac(wl),
-			iter:  d.iterStream(wl, opt.Run),
-		}
-	}
-
 	// Partition kernels once, carrying dense indices into the loop.
 	var computeKs, commKs []planKernel
 	recordsPerIter := make([]int, ki.n())
@@ -85,25 +88,62 @@ func RunSteady(devs []*Device, wl workload.Workload, jobStream *rng.Source, opt 
 		recordsPerIter[pk.di]++
 	}
 
-	// Synthesize iterations. Accumulators are preallocated to their exact
-	// final sizes: each kernel slot records once per sharing kernel per
-	// recorded iteration.
-	results := make([]GPURunResult, len(devs))
-	type perDev struct {
-		kernelDur [][]float64 // dense kernel index → recorded durations
-		iters     []float64
-	}
-	accum := make([]perDev, len(devs))
-	for i := range accum {
-		accum[i].kernelDur = make([][]float64, ki.n())
-		for di, nrec := range recordsPerIter {
-			accum[i].kernelDur[di] = make([]float64, 0, nrec*wl.Iterations)
-		}
-		accum[i].iters = make([]float64, 0, wl.Iterations)
+	// Every per-run float buffer lives in one flat arena, carved into
+	// capacity-capped sub-slices: per device, one slot per kernel (each
+	// slot records once per sharing kernel per recorded iteration) and
+	// the iteration durations, which GPURunResult.IterationsMs aliases;
+	// then the metric and phase-median scratch every device reuses.
+	nPhases := len(wl.Kernels) + 2 // kernels plus host stall and barrier wait
+	scratchLen := max(len(wl.Kernels), 1) * wl.Iterations
+	arena := make([]float64, len(devs)*(len(wl.Kernels)+1)*wl.Iterations+scratchLen+3*nPhases)
+	off := 0
+	carve := func(n int) []float64 {
+		s := arena[off : off : off+n]
+		off += n
+		return s
 	}
 
-	// Per-device compute scratch, hoisted out of the iteration loop.
-	computeMs := make([]float64, len(devs))
+	type devPlan struct {
+		st    *steadyPoint
+		sysF  []float64 // dense kernel index → persistent system factor
+		runF  float64
+		hostF float64
+		iter  *rng.Source
+
+		kernelDur [][]float64 // dense kernel index → recorded durations
+		iters     []float64
+		computeMs float64 // this iteration's compute phase
+	}
+	plans := make([]devPlan, len(devs))
+	slots := make([][]float64, len(devs)*ki.n())
+	for i, d := range devs {
+		p := &plans[i]
+		p.st = d.steadyPlan(wl, ki, opt)
+		p.sysF = sysFactorsIndexed(d, wl, ki)
+		p.runF = d.runFactor(wl, opt.Run)
+		p.hostF = d.HostStallFrac(wl)
+		p.iter = d.iterStream(wl, opt.Run)
+		p.kernelDur = slots[i*ki.n() : (i+1)*ki.n() : (i+1)*ki.n()]
+		for di, nrec := range recordsPerIter {
+			p.kernelDur[di] = carve(nrec * wl.Iterations)
+		}
+		p.iters = carve(wl.Iterations)
+	}
+	scratch := carve(scratchLen)
+	phases := medianScratch{
+		vals:    carve(nPhases),
+		pvals:   carve(nPhases),
+		weights: carve(nPhases),
+		idx:     make([]int, nPhases),
+	}
+
+	// The jitter parameterizations are fixed for the run, so their logs
+	// and roots are taken once; each draw below is exactly the
+	// LogNormalMeanSpread(1, spread) it stands for, in the same order
+	// (a spread that is not positive draws nothing and yields 1).
+	iterSpread := wl.RunJitter / 2
+	iterMu, iterSigma := rng.LogNormalParams(1, iterSpread)
+	commMu, commSigma := rng.LogNormalParams(1, wl.RunJitter)
 
 	// Warmup iterations consume the same jitter draws as the transient
 	// path would, keeping streams aligned conceptually (values need not
@@ -112,30 +152,31 @@ func RunSteady(devs []*Device, wl workload.Workload, jobStream *rng.Source, opt 
 	for it := 0; it < totalIters; it++ {
 		recording := it >= wl.WarmupIters
 		// Per-device compute time this iteration.
-		for i, p := range plans {
+		for i := range plans {
+			p := &plans[i]
 			var t, nominal float64
 			for _, pk := range computeKs {
 				iterF := 1.0
-				if wl.RunJitter > 0 {
-					iterF = p.iter.LogNormalMeanSpread(1, wl.RunJitter/2)
+				if iterSpread > 0 {
+					iterF = p.iter.LogNormal(iterMu, iterSigma)
 				}
 				d := p.st.kernelMs[pk.di] * p.sysF[pk.di] * p.runF * iterF
 				t += d + wl.LaunchGapMs
 				nominal += pk.k.NominalMs
 				if recording {
-					accum[i].kernelDur[pk.di] = append(accum[i].kernelDur[pk.di], d)
+					p.kernelDur[pk.di] = append(p.kernelDur[pk.di], d)
 				}
 			}
 			// Host/input-pipeline stall, matching the transient path.
 			if p.hostF > 0 {
-				t += nominal * p.hostF * p.iter.LogNormalMeanSpread(1, 0.20)
+				t += nominal * p.hostF * p.iter.LogNormal(hostJitterMu, hostJitterSigma)
 			}
-			computeMs[i] = t
+			p.computeMs = t
 		}
 		// Barrier: iteration compute phase is the max across the job.
 		maxCompute := 0.0
-		for _, t := range computeMs {
-			if t > maxCompute {
+		for i := range plans {
+			if t := plans[i].computeMs; t > maxCompute {
 				maxCompute = t
 			}
 		}
@@ -144,7 +185,7 @@ func RunSteady(devs []*Device, wl workload.Workload, jobStream *rng.Source, opt 
 		for _, pk := range commKs {
 			durF := jobCommF
 			if wl.RunJitter > 0 {
-				durF *= comm.LogNormalMeanSpread(1, wl.RunJitter)
+				durF *= comm.LogNormal(commMu, commSigma)
 			}
 			// Comm kernels progress at each device's own rate; lockstep
 			// completion means the slowest device sets the pace.
@@ -157,15 +198,15 @@ func RunSteady(devs []*Device, wl workload.Workload, jobStream *rng.Source, opt 
 			}
 			commMs += worst
 			if recording {
-				for i := range devs {
-					accum[i].kernelDur[pk.di] = append(accum[i].kernelDur[pk.di], worst)
+				for i := range plans {
+					plans[i].kernelDur[pk.di] = append(plans[i].kernelDur[pk.di], worst)
 				}
 			}
 		}
 		if recording {
 			iterMs := maxCompute + commMs
-			for i := range devs {
-				accum[i].iters = append(accum[i].iters, iterMs)
+			for i := range plans {
+				plans[i].iters = append(plans[i].iters, iterMs)
 			}
 		}
 	}
@@ -173,24 +214,15 @@ func RunSteady(devs []*Device, wl workload.Workload, jobStream *rng.Source, opt 
 	// Mean per-iteration phase budget per device, for the sampled-median
 	// model: kernel time, host-stall time, and barrier wait (iteration
 	// minus own busy time).
+	results := make([]GPURunResult, len(devs))
 	for i, d := range devs {
-		p := plans[i]
-		a := accum[i]
+		p := &plans[i]
 		r := GPURunResult{
 			GPUID:            d.Chip.ID,
-			IterationsMs:     a.iters,
+			IterationsMs:     p.iters,
 			ThermallyLimited: p.st.thermal,
 		}
-		// Flatten kernel durations for the metric.
-		var total int
-		for _, ds := range a.kernelDur {
-			total += len(ds)
-		}
-		all := make([]float64, 0, total)
-		for _, ds := range a.kernelDur {
-			all = append(all, ds...)
-		}
-		r.PerfMs = perfFromPlan(wl, ki, all, a.kernelDur, a.iters)
+		r.PerfMs = perfFromPlan(wl, ki, p.kernelDur, p.iters, scratch)
 
 		var kernelMs, nominal float64
 		for _, pk := range computeKs {
@@ -201,12 +233,12 @@ func RunSteady(devs []*Device, wl workload.Workload, jobStream *rng.Source, opt 
 			kernelMs += p.st.kernelMs[pk.di]
 		}
 		hostMs := nominal * p.hostF
-		iterMs := meanOf(a.iters)
+		iterMs := meanOf(p.iters)
 		waitMs := iterMs - kernelMs - hostMs - wl.LaunchGapMs*float64(len(computeKs))
 		if waitMs < 0 {
 			waitMs = 0
 		}
-		r.MedianFreqMHz, r.MedianPowerW, r.MedianTempC = p.st.medians(d, wl, ki, p.sysF, hostMs, waitMs)
+		r.MedianFreqMHz, r.MedianPowerW, r.MedianTempC = p.st.medians(d, wl, ki, p.sysF, hostMs, waitMs, &phases)
 		r.MedianPowerW += d.powerNoiseW(opt.Run)
 		r.MaxPowerW = p.st.maxPower
 		r.MaxTempC = p.st.tempC
@@ -217,11 +249,12 @@ func RunSteady(devs []*Device, wl workload.Workload, jobStream *rng.Source, opt 
 
 // perfFromPlan derives the workload's performance metric from the dense
 // accumulators. It is the single metric implementation: the transient
-// path reaches it through perfFromMeasurements.
-func perfFromPlan(wl workload.Workload, ki *kernelIndex, kernelMs []float64, byIdx [][]float64, itersMs []float64) float64 {
+// path reaches it through perfFromMeasurements. Medians are taken in
+// scratch (grown if short), never in the accumulators.
+func perfFromPlan(wl workload.Workload, ki *kernelIndex, byIdx [][]float64, itersMs, scratch []float64) float64 {
 	switch wl.Metric {
 	case workload.MetricIterationDuration:
-		return medianFloat(itersMs)
+		return medianFloat(append(scratch[:0], itersMs...))
 	case workload.MetricSumLongKernels:
 		// Per the paper (§V-C): sum of long-kernel durations within one
 		// iteration; aggregate across iterations by median. Approximate
@@ -229,27 +262,24 @@ func perfFromPlan(wl workload.Workload, ki *kernelIndex, kernelMs []float64, byI
 		var sum float64
 		for _, k := range wl.Kernels {
 			if k.NominalMs >= wl.LongKernelMinMs {
-				sum += medianFloat(byIdx[ki.of(k.Name)])
+				sum += medianFloat(append(scratch[:0], byIdx[ki.of(k.Name)]...))
 			}
 		}
 		return sum
 	default: // MetricMedianKernel
 		// Exclude comm kernels: the paper measures the compute kernel.
-		var total int
+		// A workload with no compute durations falls back to every
+		// kernel's.
+		ds := scratch[:0]
 		for _, k := range wl.Kernels {
 			if !k.Comm {
-				total += len(byIdx[ki.of(k.Name)])
+				ds = append(ds, byIdx[ki.of(k.Name)]...)
 			}
-		}
-		ds := make([]float64, 0, total)
-		for _, k := range wl.Kernels {
-			if k.Comm {
-				continue
-			}
-			ds = append(ds, byIdx[ki.of(k.Name)]...)
 		}
 		if len(ds) == 0 {
-			ds = kernelMs
+			for _, slot := range byIdx {
+				ds = append(ds, slot...)
+			}
 		}
 		return medianFloat(ds)
 	}
@@ -384,16 +414,21 @@ func progressRateAt(chip *gpu.Chip, k workload.Kernel, freqMHz float64) float64 
 	return progressRate(chip, k, freqMHz)
 }
 
+// medianScratch is working space for steadyPoint.medians, reused
+// across the devices of a run; short fields are replaced by fresh
+// allocations, so the zero value works too.
+type medianScratch struct {
+	vals, pvals, weights []float64
+	idx                  []int
+}
+
 // medians computes the sampled-median frequency, power, and temperature
 // over one iteration's phases: kernels weighted by their durations plus
 // the host-stall and barrier-wait phases (the profilers sample
 // continuously, so low-activity time pulls the medians down — the
 // mechanism behind the wide ML power spreads of paper Figs. 14–17).
-func (s *steadyPoint) medians(d *Device, wl workload.Workload, ki *kernelIndex, sysF []float64, hostMs, waitMs float64) (fMHz, powerW, tempC float64) {
-	n := len(wl.Kernels) + 2
-	vals := make([]float64, 0, n)
-	weights := make([]float64, 0, n)
-	pvals := make([]float64, 0, n)
+func (s *steadyPoint) medians(d *Device, wl workload.Workload, ki *kernelIndex, sysF []float64, hostMs, waitMs float64, buf *medianScratch) (fMHz, powerW, tempC float64) {
+	vals, weights, pvals := buf.vals[:0], buf.weights[:0], buf.pvals[:0]
 	for _, k := range wl.Kernels {
 		di := ki.of(k.Name)
 		dur := s.kernelMs[di] * sysF[di]
@@ -414,7 +449,12 @@ func (s *steadyPoint) medians(d *Device, wl workload.Workload, ki *kernelIndex, 
 		pvals = append(pvals, d.Chip.TotalPower(maxClock, s.tempC, waitActivity))
 		weights = append(weights, waitMs)
 	}
-	fMHz = weightedMedian(vals, weights)
-	powerW = weightedMedian(pvals, weights)
+	idx := buf.idx
+	if cap(idx) < len(vals) {
+		idx = make([]int, len(vals))
+	}
+	idx = idx[:len(vals)]
+	fMHz = weightedMedian(vals, weights, idx)
+	powerW = weightedMedian(pvals, weights, idx)
 	return fMHz, powerW, s.tempC
 }

@@ -245,7 +245,7 @@ func (st *devState) sampleHostStall(ks []workload.Kernel, wl workload.Workload) 
 	for _, k := range ks {
 		nominal += k.NominalMs
 	}
-	jitter := st.iter.LogNormalMeanSpread(1, 0.20)
+	jitter := st.iter.LogNormalMeanSpread(1, hostJitterSpread)
 	return nominal * st.hostF * jitter
 }
 
@@ -262,7 +262,7 @@ func (st *devState) finish(wl workload.Workload) GPURunResult {
 	r.MaxPowerW = tr.MaxPowerW()
 	r.MaxTempC = tr.MaxTempC()
 	r.ThermallyLimited = st.thermalHit
-	r.PerfMs = perfFromMeasurements(wl, tr.KernelDurationsMs(), tr.KernelDurationsByName(), r.IterationsMs)
+	r.PerfMs = perfFromMeasurements(wl, tr.KernelDurationsByName(), r.IterationsMs)
 	return r
 }
 
@@ -270,34 +270,83 @@ func (st *devState) finish(wl workload.Workload) GPURunResult {
 // name-keyed durations by viewing them through a kernel index and
 // delegating to perfFromPlan — one metric implementation for both the
 // steady and transient paths.
-func perfFromMeasurements(wl workload.Workload, kernelMs []float64, byName map[string][]float64, itersMs []float64) float64 {
+func perfFromMeasurements(wl workload.Workload, byName map[string][]float64, itersMs []float64) float64 {
 	ki := newKernelIndex(wl.Kernels)
 	byIdx := make([][]float64, ki.n())
 	for name, ds := range byName {
-		if di, ok := ki.byName[name]; ok {
+		if di, ok := ki.lookup(name); ok {
 			byIdx[di] = ds
 		}
 	}
-	return perfFromPlan(wl, ki, kernelMs, byIdx, itersMs)
+	return perfFromPlan(wl, ki, byIdx, itersMs, nil)
 }
 
-func medianFloat(xs []float64) float64 {
-	if len(xs) == 0 {
+// medianFloat returns the median of s, reordering s in place: an O(n)
+// quickselect for the upper middle element; for even n, everything left
+// of it is no larger, so the lower middle is the maximum of that part.
+// The result is bit-identical to sorting s and averaging the middle
+// pair.
+func medianFloat(s []float64) float64 {
+	n := len(s)
+	if n == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	// Insertion sort is fine for per-run sizes; runs have ≤ a few
-	// hundred kernels.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+	k := n / 2
+	hi := selectKth(s, k)
+	if n%2 == 1 {
+		return hi
+	}
+	lo := s[0]
+	for _, x := range s[1:k] {
+		if x > lo {
+			lo = x
 		}
 	}
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
+	return (lo + hi) / 2
+}
+
+// selectKth partially orders s so that s[k] holds its k-th smallest
+// value (0-based), everything before it is no larger and everything
+// after it no smaller, and returns that value. Hoare partitioning around
+// a median-of-three pivot keeps runs of equal values linear.
+func selectKth(s []float64, k int) float64 {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if s[mid] < s[lo] {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if s[hi] < s[lo] {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if s[hi] < s[mid] {
+			s[hi], s[mid] = s[mid], s[hi]
+		}
+		p := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < p {
+				i++
+			}
+			for s[j] > p {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return s[k]
 }
 
 func allAtBarrier(states []*devState) bool {
