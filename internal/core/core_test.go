@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"gpuvar/internal/cluster"
@@ -294,6 +297,53 @@ func TestWeekStudyConsistent(t *testing.T) {
 	}
 	if hi > 2.2*lo {
 		t.Errorf("day-to-day variation unstable: %v..%v", lo, hi)
+	}
+}
+
+func TestWeekStudyCtxRunsEachDayOnce(t *testing.T) {
+	// The figures session sends Monday (Day 0) through its own cache, so
+	// each day must reach the runner exactly once with only Day changed,
+	// and its result must land at the day's index.
+	exp := sgemmExp(cluster.Vortex(), 6)
+	exp.Runs = 2
+	var mu sync.Mutex
+	byDay := map[int]*Result{}
+	days, err := WeekStudyCtx(context.Background(), exp, func(_ context.Context, e Experiment) (*Result, error) {
+		got := e
+		got.Day = exp.Day
+		if got.Cluster.Name != exp.Cluster.Name || got.Seed != exp.Seed || got.Runs != exp.Runs || got.Workload.Name != exp.Workload.Name {
+			t.Errorf("day %d ran a changed experiment", e.Day)
+		}
+		r := &Result{}
+		mu.Lock()
+		defer mu.Unlock()
+		if byDay[e.Day] != nil {
+			t.Errorf("day %d ran twice", e.Day)
+		}
+		byDay[e.Day] = r
+		return r, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(days) != len(DayNames) {
+		t.Fatalf("week study returned %d days", len(days))
+	}
+	for i, d := range days {
+		if d == nil || d != byDay[i] {
+			t.Errorf("day %d result not at index %d", i, i)
+		}
+	}
+
+	boom := errors.New("boom")
+	_, err = WeekStudyCtx(context.Background(), exp, func(_ context.Context, e Experiment) (*Result, error) {
+		if e.Day == 3 {
+			return nil, boom
+		}
+		return &Result{}, nil
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "day 3") {
+		t.Errorf("runner error = %v, want boom wrapped with its day", err)
 	}
 }
 

@@ -13,20 +13,22 @@ import (
 // WeekStudy runs the experiment once per day of the week (§VI-A,
 // Figs. 20–21) and returns the seven results, Monday first.
 func WeekStudy(exp Experiment) ([]*Result, error) {
-	return WeekStudyCtx(context.Background(), exp)
+	return WeekStudyCtx(context.Background(), exp, RunCtx)
 }
 
 // WeekStudyCtx is WeekStudy as one engine job: the seven day-variants
-// share the cached fleet and run concurrently, each day's result landing
-// at its index (Monday first, identical to the serial order).
-func WeekStudyCtx(ctx context.Context, exp Experiment) ([]*Result, error) {
-	out, err := engine.Map(ctx, 7, 0, func(ctx context.Context, day int) (*Result, error) {
+// run concurrently, each day's result landing at its index (Monday
+// first, identical to the serial order). run executes one day's
+// experiment — RunCtx, or a runner that consults the caller's caches
+// (the figures session shares Monday with its SGEMM characterization).
+func WeekStudyCtx(ctx context.Context, exp Experiment, run func(context.Context, Experiment) (*Result, error)) ([]*Result, error) {
+	out, err := engine.Map(ctx, len(DayNames), 0, func(ctx context.Context, day int) (*Result, error) {
 		e := exp
 		e.Day = day
 		// A different run phase per day: the same GPUs measured on
 		// different days draw fresh run-level jitter.
 		e.Seed = exp.Seed // fleet identical across days
-		r, err := RunCtx(ctx, e)
+		r, err := run(ctx, e)
 		if err != nil {
 			return nil, fmt.Errorf("core: day %d: %w", day, err)
 		}

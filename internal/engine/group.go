@@ -55,8 +55,14 @@ func (g *Group[V]) Waiters(key string) int {
 // concurrent callers. shared reports whether this caller joined an
 // execution started by another (the service maps it to the "coalesced"
 // cache state). On ctx cancellation Do returns ctx.Err() without
-// waiting for fn; fn is only canceled when no waiter remains.
+// waiting for fn; fn is only canceled when no waiter remains. A caller
+// whose ctx has already ended neither starts nor joins an execution.
 func (g *Group[V]) Do(ctx context.Context, key string, fn func(ctx context.Context) (V, error)) (v V, shared bool, err error) {
+	if err := ctx.Err(); err != nil {
+		// Starting a flight here would race its result against ctx.Done
+		// in the select below, so a dead caller could get a value.
+		return v, false, err
+	}
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = map[string]*call[V]{}

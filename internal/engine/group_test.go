@@ -161,6 +161,26 @@ func TestGroupLastWaiterCancelsFlight(t *testing.T) {
 	leak()
 }
 
+// TestGroupCanceledCallerStartsNothing: a caller whose context has
+// already ended gets ctx.Err() and never runs fn, however fast fn is.
+func TestGroupCanceledCallerStartsNothing(t *testing.T) {
+	var g Group[int]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 100; i++ {
+		v, shared, err := g.Do(ctx, "k", func(context.Context) (int, error) {
+			t.Error("fn ran for a canceled caller")
+			return 7, nil
+		})
+		if !errors.Is(err, context.Canceled) || v != 0 || shared {
+			t.Fatalf("Do on a canceled ctx = %d, shared=%v, %v; want 0, false, context.Canceled", v, shared, err)
+		}
+	}
+	if g.Len() != 0 {
+		t.Fatalf("%d flights left in flight", g.Len())
+	}
+}
+
 // TestGroupErrorPropagatesToAllWaiters: a failed execution hands its
 // error to every waiter and releases the key (errors are retryable).
 func TestGroupErrorPropagatesToAllWaiters(t *testing.T) {

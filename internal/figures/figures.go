@@ -123,6 +123,14 @@ func (s *Session) run(ctx context.Context, key string, exp core.Experiment) (*co
 		return e.res, e.err
 	}
 	res, _, err := s.flight.Do(ctx, key, func(fctx context.Context) (*core.Result, error) {
+		// A flight that finished between the lookup above and Do has
+		// already stored its outcome; return it rather than run again.
+		s.mu.Lock()
+		e, ok := s.done[key]
+		s.mu.Unlock()
+		if ok {
+			return e.res, e.err
+		}
 		r, err := core.RunWithCacheCtx(fctx, exp, s.fleets)
 		if err == nil || !isCancellation(err) {
 			s.mu.Lock()

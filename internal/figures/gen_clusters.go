@@ -8,7 +8,6 @@ import (
 
 	"gpuvar/internal/cluster"
 	"gpuvar/internal/core"
-	"gpuvar/internal/engine"
 	"gpuvar/internal/report"
 	"gpuvar/internal/stats"
 	"gpuvar/internal/workload"
@@ -224,23 +223,14 @@ func genFig21(ctx context.Context, s *Session, w io.Writer) error {
 }
 
 func weekStudy(ctx context.Context, s *Session, spec cluster.Spec, w io.Writer) error {
-	// The seven days run concurrently on one fleet, each drawing fresh
-	// run-level jitter (core.WeekStudyCtx's results). Monday is the
-	// session's day-0 experiment, shared with the cluster's SGEMM
-	// characterization; the other six days are not retained.
-	days, err := engine.Map(ctx, len(core.DayNames), 0, func(ctx context.Context, day int) (*core.Result, error) {
-		exp := s.sgemmExperiment(spec, 1, day)
-		var r *core.Result
-		var err error
-		if day == 0 {
-			r, err = s.runSGEMM(ctx, exp)
-		} else {
-			r, err = core.RunWithCacheCtx(ctx, exp, s.fleets)
+	// Monday is the session's day-0 experiment, shared with the
+	// cluster's SGEMM characterization; the other six days run on the
+	// session's fleet cache and are not retained.
+	days, err := core.WeekStudyCtx(ctx, s.sgemmExperiment(spec, 1, 0), func(ctx context.Context, exp core.Experiment) (*core.Result, error) {
+		if exp.Day == 0 {
+			return s.runSGEMM(ctx, exp)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("figures: day %d: %w", day, err)
-		}
-		return r, nil
+		return core.RunWithCacheCtx(ctx, exp, s.fleets)
 	})
 	if err != nil {
 		return err
