@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: help build fmt vet staticcheck test cover cover-summary cover-floor fuzz fuzz-smoke verify race bench bench-smoke bench-compare perfbench smoke figures serve loadgen
+.PHONY: help build fmt vet staticcheck test cover cover-summary cover-floor fuzz fuzz-smoke verify race bench bench-smoke bench-compare perfbench perfbench-build smoke figures serve loadgen
 
 # help lists the targets. Serving quick-reference:
 #   make serve    starts cmd/gpuvard on :8080 — the experiment service.
@@ -38,9 +38,7 @@ GO ?= go
 #     the exhausted scope; per-client counters ride /v1/stats and the
 #     Prometheus text exposition at GET /metrics.
 #     Sweeps take a variant axis: {"axis":"powercap|seed|ambient|
-#     fraction","values":[...]} (caps_w still answers as the legacy
-#     powercap spelling but carries Deprecation + successor Link
-#     headers).
+#     fraction","values":[...]}.
 #     Replicas federate: gpuvard -peers http://a:8080,http://b:8080
 #     dispatches sweep shards across the fleet (-route-policy affinity
 #     rendezvous-hashes shards onto warm fleet caches; roundrobin and
@@ -73,6 +71,7 @@ GO ?= go
 # CI gates a PR must clear (.github/workflows/ci.yml):
 #   make verify   build + fmt + vet + staticcheck + test + cover-floor
 #                 + fuzz-smoke + bench-smoke + bench-compare
+#                 + perfbench-build
 #   make race     go test -race -short ./...
 #   make smoke    end-to-end serving smoke (see above)
 #   make cover    test suite with a coverage summary
@@ -157,8 +156,9 @@ fuzz-smoke:
 
 # verify is the tier-1 gate plus the cheap guards: gofmt, vet,
 # staticcheck, tests with the coverage floor, a fuzz smoke, a
-# one-iteration benchmark smoke run, and the benchmark-regression gate
-# against the committed trajectory (BENCH_11.json). The stage sequence
+# one-iteration benchmark smoke run, the benchmark-regression gate
+# against the committed trajectory (BENCH_11.json), and a compile of
+# the perfbench program. The stage sequence
 # lives in scripts/verify.sh, which reports which stage failed.
 verify:
 	scripts/verify.sh
@@ -219,6 +219,12 @@ bench-compare:
 PERFBENCH_ARGS ?= --workload paper-full --seed 1 --seconds 30 --trace 0
 perfbench:
 	bash perfbench/run.sh $(PERFBENCH_ARGS)
+
+# perfbench-build vets and compiles the perfbench program (its own Go
+# module, built against this checkout) without running it, so a change
+# to an API perfbench calls fails verify instead of the benchmark.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 figures:
 	$(GO) run ./cmd/figures

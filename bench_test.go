@@ -110,7 +110,7 @@ func BenchmarkExtNextGen(b *testing.B)   { benchFigure(b, "ext-nextgen") }
 // cache amortizes across iterations exactly as a restarted server
 // would against the process-wide cache).
 func BenchmarkServiceSweep(b *testing.B) {
-	const body = `{"cluster":"CloudLab","iterations":6,"caps_w":[300,250,200,150]}`
+	const body = `{"cluster":"CloudLab","iterations":6,"axis":"powercap","values":[300,250,200,150]}`
 	for i := 0; i < b.N; i++ {
 		srv := benchServer(b)
 		req := httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(body))

@@ -145,7 +145,7 @@
 //	                              per-class queues, budget occupancy
 //	GET    /v1/healthz            liveness + the same counters
 //	GET    /v1/                   discovery document: every route with
-//	                              its stability marker and successor
+//	                              its stability marker
 //	GET    /v1/replicas           fleet membership + dispatch counters
 //	                              (see Distribution below)
 //
@@ -168,9 +168,7 @@
 // 0 = TDP), seed sweeps fleet instantiation seeds (uncertainty bands),
 // ambient sweeps inlet-temperature offsets in °C within ±25 (facility
 // what-ifs), and fraction sweeps measurement coverage in (0, 1] (cost
-// ladders). The legacy power-cap spelling {"caps_w": [...]} still
-// works: it normalizes to axis=powercap, shares the same cache entry,
-// and returns byte-identical bodies. core.VariantSweepCtx implements
+// ladders). core.VariantSweepCtx implements
 // all four axes once; core.PowerLimitSweep remains as its golden-tested
 // powercap façade.
 //
@@ -233,13 +231,13 @@
 // Every line is {"kind", "shard", "shards", "payload", ...}: "start"
 // (the body's prefix, sent immediately), "shard" (one completed shard,
 // in order), and a terminal "summary" (the closing chunk plus the
-// body's length and sha256) or in-band "error". The payloads are a
-// progressive encoding of the SYNCHRONOUS response: concatenated in
-// order they are byte-identical to the corresponding POST /v1/sweep or
-// GET /v1/experiments body — golden tests pin this for all four sweep
-// axes and both endpoints, and a completed stream deposits its verified
-// body into the response cache so the synchronous twin replays it as a
-// hit. Streams run under the batch-length deadline (-job-timeout) and
+// body's length and sha256) or in-band "error". Each payload is a
+// piece of the encoder the SYNCHRONOUS renderer runs (request prefix,
+// per-variant chunks, closing remainder), so concatenated in order they
+// are the corresponding POST /v1/sweep or GET /v1/experiments body by
+// construction — golden tests pin this for all four sweep axes and
+// both endpoints, and a completed stream deposits its body into the
+// response cache so the synchronous twin replays it as a hit. Streams run under the batch-length deadline (-job-timeout) and
 // abort mid-shard on client disconnect; cmd/loadgen -stream reassembles
 // them under load, asserts identity, and reports time-to-first-line.
 //
@@ -360,12 +358,11 @@
 //
 // Every response carries X-Request-ID (echoed from the client if
 // reasonable, generated otherwise), errors are a uniform JSON envelope
-// with a stable machine-readable code, and the legacy /healthz spelling
-// answers with Deprecation/Link headers pointing at /v1/healthz.
+// with a stable machine-readable code.
 //
 // Async jobs also record their stream: each job's NDJSON lines (the
-// same schema and byte-identical payload chunks as the synchronous
-// streaming endpoints) land in a bounded replayable line log, and GET
+// same schema and the same encoder pieces as the streaming endpoints)
+// land in a bounded replayable line log, and GET
 // /v1/jobs/{id}/stream attaches at ANY point in the job's life —
 // replaying everything already emitted, then following live until the
 // terminal line. A mid-run attach therefore delivers the identical

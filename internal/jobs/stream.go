@@ -13,8 +13,8 @@ import "sync"
 // impossible for the service's sweep streams, whose shard count is
 // capped far below the default — truncates the buffered history
 // instead of growing without bound. A truncated log can no longer
-// replay a byte-identical prefix, so followers check Truncated and
-// fall back to serving the finished body whole.
+// replay a byte-identical prefix, so followers check Truncated and end
+// their stream with an in-band error line naming the job's result URL.
 type Log struct {
 	mu        sync.Mutex
 	max       int

@@ -80,7 +80,7 @@ func AdaptiveSweepBody(body string, threshold float64) (string, error) {
 }
 
 // SweepStreamURL converts a sweep JSON body into the streaming
-// endpoint's query-parameter spelling (values/caps_w comma-joined), so
+// endpoint's query-parameter spelling (values comma-joined), so
 // both spellings describe the identical normalized request.
 func SweepStreamURL(base, body string) (string, error) {
 	var m map[string]any

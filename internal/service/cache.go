@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"gpuvar/internal/engine"
 )
@@ -58,6 +59,9 @@ type resultCache struct {
 	stale   map[string]*list.Element
 	flight  engine.Group[*cachedResponse]
 	stats   CacheStats
+	// flightEnter, when set, runs between do's LRU miss and its flight:
+	// tests hold a caller there while another caller's flight finishes.
+	flightEnter func()
 }
 
 type lruEntry struct {
@@ -100,17 +104,26 @@ func (c *resultCache) lookup(key string) (*cachedResponse, bool) {
 // context: it outlives any single request and is canceled only when
 // every interested request has gone.
 func (c *resultCache) do(ctx context.Context, key string, compute func(ctx context.Context) (*cachedResponse, error)) (res *cachedResponse, state string, err error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		c.stats.Hits++
-		res = el.Value.(*lruEntry).res
-		c.mu.Unlock()
+	if res, ok := c.lookup(key); ok {
 		return res, "hit", nil
 	}
-	c.mu.Unlock()
+	if c.flightEnter != nil {
+		c.flightEnter()
+	}
 
+	var hit atomic.Bool
 	res, shared, err := c.flight.Do(ctx, key, func(fctx context.Context) (*cachedResponse, error) {
+		// Another caller's flight may have finished and inserted the
+		// result since the lookup above; serve it rather than compute it
+		// twice.
+		c.mu.Lock()
+		if el, ok := c.entries[key]; ok {
+			c.ll.MoveToFront(el)
+			c.mu.Unlock()
+			hit.Store(true)
+			return el.Value.(*lruEntry).res, nil
+		}
+		c.mu.Unlock()
 		r, err := compute(fctx)
 		if err == nil {
 			// Insert before the flight completes so a request arriving in
@@ -122,14 +135,16 @@ func (c *resultCache) do(ctx context.Context, key string, compute func(ctx conte
 		return r, err
 	})
 
-	state = "miss"
-	if shared {
-		state = "coalesced"
-	}
 	c.mu.Lock()
-	if shared {
+	switch {
+	case shared:
+		state = "coalesced"
 		c.stats.Coalesced++
-	} else {
+	case err == nil && hit.Load():
+		state = "hit"
+		c.stats.Hits++
+	default:
+		state = "miss"
 		c.stats.Misses++
 	}
 	if err != nil && ctx.Err() != nil {

@@ -1,12 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"gpuvar/internal/campaign"
@@ -52,30 +49,22 @@ type alertView struct {
 	Exceedance float64 `json:"exceedance"`
 }
 
-// campaignResponse is one completed campaign simulation.
-type campaignResponse struct {
-	Request              campaignRequest `json:"request"`
-	Days                 int             `json:"days"`
-	CoveragePeriodDays   int             `json:"coverage_period_days"`
-	Slots                int             `json:"slots"`
-	OverheadFrac         float64         `json:"overhead_frac"`
-	DetectionDay         int             `json:"detection_day"`
-	DetectionLatencyDays int             `json:"detection_latency_days"`
-	FalseAlerts          int             `json:"false_alerts"`
-	Alerts               []alertView     `json:"alerts"`
+// campaignResult is one completed campaign simulation's body after its
+// request section (see encodeAfterRequest).
+type campaignResult struct {
+	Days                 int         `json:"days"`
+	CoveragePeriodDays   int         `json:"coverage_period_days"`
+	Slots                int         `json:"slots"`
+	OverheadFrac         float64     `json:"overhead_frac"`
+	DetectionDay         int         `json:"detection_day"`
+	DetectionLatencyDays int         `json:"detection_latency_days"`
+	FalseAlerts          int         `json:"false_alerts"`
+	Alerts               []alertView `json:"alerts"`
 }
 
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxCampaignBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
-		return
-	}
 	var req campaignRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: %v", err)
+	if !decodeBody(w, r, maxCampaignBody, &req) {
 		return
 	}
 	key, compute, status, err := campaignComputation(&req)
@@ -100,6 +89,10 @@ func campaignComputation(reqp *campaignRequest) (string, func(ctx context.Contex
 	// reordered keys or omitted defaults coalesce onto one entry.
 	key := fmt.Sprintf("campaign|%+v", req)
 	compute := func(ctx context.Context) (*cachedResponse, error) {
+		prefix, err := requestPrefix(req)
+		if err != nil {
+			return nil, err
+		}
 		rep, err := campaign.SimulateCtx(ctx, spec, req.Seed, req.Days,
 			campaign.PlanConfig{
 				OverheadFrac: req.Plan.OverheadFrac,
@@ -117,8 +110,7 @@ func campaignComputation(reqp *campaignRequest) (string, func(ctx context.Contex
 		if err != nil {
 			return nil, err
 		}
-		out := campaignResponse{
-			Request:              req,
+		out := campaignResult{
 			Days:                 rep.Days,
 			CoveragePeriodDays:   rep.CoveragePeriod,
 			Slots:                rep.Slots,
@@ -137,7 +129,7 @@ func campaignComputation(reqp *campaignRequest) (string, func(ctx context.Contex
 				Exceedance: a.Exceedance(),
 			}
 		}
-		return jsonResponse(out)
+		return encodeAfterRequest(prefix, out)
 	}
 	return key, compute, 0, nil
 }

@@ -16,8 +16,8 @@ import (
 // Stability classes:
 //
 //	stable      the supported API surface
-//	deprecated  still served, but carries Deprecation+Link successor
-//	            headers and a sunset note in API.md
+//	deprecated  still served until a sunset announced in API.md, with
+//	            its successor named (no route is deprecated today)
 //	internal    replica-to-replica plumbing; refuses requests that do
 //	            not carry the dispatch marker header or that carry an
 //	            external client identity (X-API-Key)
@@ -51,7 +51,7 @@ func (s *Server) routes() []routeDef {
 		{"GET", "/v1/figures/{id}", "stable", "", "one rendered figure (config via query)", s.handleFigure},
 		{"GET", "/v1/experiments/{name}", "stable", "", "one experiment summary (params via query)", s.handleExperiment},
 		{"POST", "/v1/campaign", "stable", "", "one campaign simulation (params via body)", s.handleCampaign},
-		{"POST", "/v1/sweep", "stable", "", "bounded variant-axis sweep (the caps_w spelling is deprecated: use axis=powercap with values)", s.handleSweep},
+		{"POST", "/v1/sweep", "stable", "", "bounded variant-axis sweep", s.handleSweep},
 		{"GET", "/v1/estimate", "stable", "", "analytical sweep estimate (query spelling)", s.handleEstimateGet},
 		{"POST", "/v1/estimate", "stable", "", "analytical sweep estimate (body spelling)", s.handleEstimate},
 		{"GET", "/v1/stream/sweep", "stable", "", "sweep streamed as NDJSON, one line per variant", s.handleStreamSweep},
@@ -65,7 +65,6 @@ func (s *Server) routes() []routeDef {
 		{"GET", "/v1/stats", "stable", "", "cache/engine/job/dispatch counters", s.handleStats},
 		{"GET", "/v1/replicas", "stable", "", "replica-dispatch membership, health, and counters", s.handleReplicas},
 		{"GET", "/v1/healthz", "stable", "", "liveness + the same counters", s.handleHealthz},
-		{"GET", "/healthz", "deprecated", "/v1/healthz", "legacy unversioned liveness path", s.handleHealthz},
 		{"GET", "/metrics", "stable", "", "counters in Prometheus text exposition format", s.handleMetrics},
 		{"POST", dispatch.ShardsPath, "internal", "", "replica-to-replica shard-batch execution", s.handleInternalShards},
 	}

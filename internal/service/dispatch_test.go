@@ -357,7 +357,6 @@ func TestDiscoveryDocument(t *testing.T) {
 	for route, want := range map[string]struct{ stability, successor string }{
 		"GET /v1/":                   {"stable", ""},
 		"POST /v1/sweep":             {"stable", ""},
-		"GET /healthz":               {"deprecated", "/v1/healthz"},
 		"POST /v1/internal/shards":   {"internal", ""},
 		"GET /v1/replicas":           {"stable", ""},
 		"GET /v1/jobs/{id}/stream":   {"stable", ""},
@@ -380,51 +379,31 @@ func TestDiscoveryDocument(t *testing.T) {
 	}
 }
 
-func TestLegacyCapsWDeprecationHeaders(t *testing.T) {
+// TestRetiredSpellingsRejected: the caps_w request spelling and the
+// unversioned /healthz route are past their sunset. caps_w answers 400
+// on every entry point that takes a sweep request, through the strict
+// body decoder or the strict query parser; /healthz is an unknown route.
+func TestRetiredSpellingsRejected(t *testing.T) {
 	srv := testServer()
 	defer srv.Close()
-
-	legacy := doReq(t, srv, "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"caps_w":[300,250]}`)
-	if legacy.Code != 200 {
-		t.Fatalf("legacy sweep: %d %s", legacy.Code, legacy.Body)
+	for _, c := range []struct{ method, target, body string }{
+		{"POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"caps_w":[300,250]}`},
+		{"GET", "/v1/stream/sweep?cluster=CloudLab&iterations=2&caps_w=240", ""},
+		{"GET", "/v1/estimate?cluster=CloudLab&iterations=2&caps_w=300,250,200", ""},
+		{"POST", "/v1/estimate", `{"cluster":"CloudLab","caps_w":[300]}`},
+		{"POST", "/v1/jobs", `{"kind":"sweep","sweep":{"cluster":"CloudLab","iterations":2,"caps_w":[290]}}`},
+	} {
+		rr := doReq(t, srv, c.method, c.target, c.body)
+		if rr.Code != 400 || !strings.Contains(rr.Body.String(), "caps_w") {
+			t.Errorf("%s %s: status %d, body %s; want a 400 naming caps_w", c.method, c.target, rr.Code, rr.Body)
+		}
+		if rr.Header().Get("Deprecation") != "" {
+			t.Errorf("%s %s still carries a Deprecation header", c.method, c.target)
+		}
 	}
-	if legacy.Header().Get("Deprecation") != "true" {
-		t.Fatal("caps_w response must carry Deprecation: true")
-	}
-	if link := legacy.Header().Get("Link"); !strings.Contains(link, `rel="successor-version"`) {
-		t.Fatalf("caps_w Link header = %q, want a successor-version relation", link)
-	}
-
-	modern := doReq(t, srv, "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"axis":"powercap","values":[300,250]}`)
-	if modern.Code != 200 {
-		t.Fatalf("modern sweep: %d %s", modern.Code, modern.Body)
-	}
-	if modern.Header().Get("Deprecation") != "" {
-		t.Fatal("axis spelling must not carry a Deprecation header")
-	}
-	// Both spellings share one cache entry and byte-identical bodies —
-	// the deprecation is headers-only.
-	if legacy.Body.String() != modern.Body.String() {
-		t.Fatal("legacy and modern spellings must serve byte-identical bodies")
-	}
-	if modern.Header().Get("X-Cache") != "hit" {
-		t.Fatalf("modern spelling should hit the legacy spelling's cache entry, got %q", modern.Header().Get("X-Cache"))
-	}
-
-	est := doReq(t, srv, "GET", "/v1/estimate?cluster=CloudLab&iterations=2&caps_w=300,250,200", "")
-	if est.Code != 200 {
-		t.Fatalf("legacy estimate: %d %s", est.Code, est.Body)
-	}
-	if est.Header().Get("Deprecation") != "true" {
-		t.Fatal("caps_w estimate must carry Deprecation: true")
-	}
-
-	job := doReq(t, srv, "POST", "/v1/jobs", `{"kind":"sweep","sweep":{"cluster":"CloudLab","iterations":2,"caps_w":[290]}}`)
-	if job.Code != 202 {
-		t.Fatalf("legacy job submit: %d %s", job.Code, job.Body)
-	}
-	if job.Header().Get("Deprecation") != "true" {
-		t.Fatal("caps_w job submission must carry Deprecation: true")
+	rr := doReq(t, srv, "GET", "/healthz", "")
+	if rr.Code != 404 || !strings.Contains(rr.Body.String(), `"unknown_route"`) {
+		t.Fatalf("GET /healthz: status %d, body %s; want 404 unknown_route", rr.Code, rr.Body)
 	}
 }
 

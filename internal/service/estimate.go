@@ -1,11 +1,8 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
 	"gpuvar/internal/core"
@@ -30,16 +27,8 @@ var estimateSweepRun = core.EstimateSweepCtx
 func estimateCacheKey(r sweepRequest) string { return fmt.Sprintf("estimate|%+v", r) }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSweepBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
-		return
-	}
 	var req sweepRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: %v", err)
+	if !decodeBody(w, r, maxSweepBody, &req) {
 		return
 	}
 	s.serveEstimate(w, r, &req)
@@ -57,13 +46,11 @@ func (s *Server) handleEstimateGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, req *sweepRequest) {
-	legacy := len(req.CapsW) > 0
 	key, compute, status, err := estimateComputation(req)
 	if err != nil {
 		writeError(w, status, errCode(err, status), "%v", err)
 		return
 	}
-	markLegacySweep(w, legacy)
 	s.serveCached(w, r, key, compute)
 }
 

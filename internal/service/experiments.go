@@ -64,12 +64,12 @@ type gpuView struct {
 	Defect  string  `json:"defect,omitempty"`
 }
 
-// experimentResponse is one completed experiment.
-type experimentResponse struct {
-	Request experimentRequest `json:"request"`
-	Summary summaryView       `json:"summary"`
-	Groups  []groupView       `json:"groups,omitempty"`
-	GPUs    []gpuView         `json:"gpus,omitempty"`
+// experimentResult is one completed experiment's body after its
+// request section (see encodeAfterRequest).
+type experimentResult struct {
+	Summary summaryView `json:"summary"`
+	Groups  []groupView `json:"groups,omitempty"`
+	GPUs    []gpuView   `json:"gpus,omitempty"`
 }
 
 // experimentCacheKey fingerprints a normalized experiment request —
@@ -87,11 +87,15 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	key := experimentCacheKey(req)
 	s.serveCached(w, r, key, func(ctx context.Context) (*cachedResponse, error) {
+		prefix, err := requestPrefix(req)
+		if err != nil {
+			return nil, err
+		}
 		res, err := core.RunCtx(ctx, exp)
 		if err != nil {
 			return nil, err
 		}
-		return jsonResponse(renderExperiment(req, res))
+		return encodeAfterRequest(prefix, renderExperiment(req, res))
 	})
 }
 
@@ -193,10 +197,9 @@ func parseExperiment(r *http.Request) (experimentRequest, core.Experiment, int, 
 
 // renderExperiment projects a result into the wire schema at the
 // requested detail level.
-func renderExperiment(req experimentRequest, res *core.Result) experimentResponse {
+func renderExperiment(req experimentRequest, res *core.Result) experimentResult {
 	sum := res.Summarize()
-	out := experimentResponse{
-		Request: req,
+	out := experimentResult{
 		Summary: summaryView{
 			GPUs:      sum.GPUs,
 			MedianMs:  sum.MedianMs,

@@ -11,8 +11,7 @@ package service
 //   - normalization never panics, whatever the bytes;
 //   - an error is always classified with a 4xx client status;
 //   - a success leaves the request in canonical form: axis parsed,
-//     caps_w folded away, every value valid for its axis, all defaults
-//     filled;
+//     every value valid for its axis, all defaults filled;
 //   - normalization is idempotent — re-normalizing a normalized request
 //     is a fixed point with a stable cache fingerprint (the property
 //     the response cache's coalescing correctness rests on).
@@ -37,8 +36,8 @@ func decodeStrict(body []byte, v any) error {
 // decode + normalize path the handler uses, including the variant-axis
 // parsing and per-axis value validation.
 func FuzzSweepRequest(f *testing.F) {
-	// Seed corpus: every axis, the legacy spelling, defaulted fields,
-	// and representative malformed shapes (bad axis, mixed spellings,
+	// Seed corpus: every axis, defaulted fields, and representative
+	// malformed shapes (bad axis, the retired caps_w spelling,
 	// out-of-range values, truncated JSON).
 	for _, seed := range []string{
 		`{"cluster":"CloudLab","axis":"powercap","values":[300,250,200]}`,
@@ -82,9 +81,6 @@ func FuzzSweepRequest(f *testing.F) {
 		// Canonical-form invariants on success.
 		if req.Axis != string(axis) {
 			t.Errorf("normalized axis field %q does not match parsed axis %q", req.Axis, axis)
-		}
-		if len(req.CapsW) != 0 {
-			t.Error("caps_w survived normalization; it must fold into axis/values")
 		}
 		limit := maxSweepVariants
 		if req.Adaptive {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"gpuvar/internal/dispatch"
@@ -79,20 +78,12 @@ func (s *Server) handleInternalShards(w http.ResponseWriter, r *http.Request) {
 			dispatch.ShardsPath, dispatch.InternalHeader)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSweepBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
-		return
-	}
 	var sreq dispatch.ShardsRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sreq); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: %v", err)
+	if !decodeBody(w, r, maxSweepBody, &sreq) {
 		return
 	}
 	var req sweepRequest
-	dec = json.NewDecoder(bytes.NewReader(sreq.Sweep))
+	dec := json.NewDecoder(bytes.NewReader(sreq.Sweep))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "decoding sweep payload: %v", err)

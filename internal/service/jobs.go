@@ -1,13 +1,11 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -136,21 +134,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxJobBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
-		return
-	}
 	var req jobRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: %v", err)
+	if !decodeBody(w, r, maxJobBody, &req) {
 		return
 	}
-	legacy := (req.Sweep != nil && len(req.Sweep.CapsW) > 0) ||
-		(req.Estimate != nil && len(req.Estimate.CapsW) > 0)
-
 	// Validation and normalization happen synchronously, so a malformed
 	// submission is rejected with 400/404 up front; only well-formed
 	// computations become jobs.
@@ -163,14 +150,18 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// The job's replayable stream: the start line (carrying the body
 	// prefix) is appended before submission, so even a follower that
 	// attaches instantly replays a complete prefix (see jobstream.go).
-	st := s.newJobStream(&req)
+	st, err := newJobStream(&req)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
+		return
+	}
 
 	// The job runs the computation through the response cache: it
 	// coalesces with identical synchronous requests and other jobs, and
 	// its complete result lands in the LRU for both paths to replay.
 	// The stream's shard sink rides the job's context; a job that
-	// coalesces onto another flight emits no shard lines and its stream
-	// falls back to the whole finished body.
+	// coalesces onto another flight emits no shard lines, and its
+	// summary line carries the rest of the body.
 	client := requestClient(r.Context())
 	id, err := s.jobs.Submit(client, class, func(ctx context.Context) (*cachedResponse, error) {
 		// The job manager runs computations under its own context, so the
@@ -179,10 +170,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		if s.dispatcher != nil {
 			ctx = dispatch.NewContext(ctx, s.dispatcher)
 		}
-		if st != nil {
-			ctx = st.sinkContext(ctx)
-		}
-		res, _, err := s.cache.do(ctx, key, compute)
+		res, _, err := s.cache.do(st.sinkContext(ctx), key, compute)
 		return res, err
 	})
 	if errors.Is(err, jobs.ErrClientQueueFull) {
@@ -210,11 +198,15 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 		return
 	}
-	if st != nil {
-		s.registerJobStream(id, st)
-	}
+	s.registerJobStream(id, st)
+	done, ok := s.jobs.Done(id)
+	go func() {
+		if ok {
+			<-done
+		}
+		s.finishJobStream(id, st)
+	}()
 	snap, _ := s.jobs.Get(id)
-	markLegacySweep(w, legacy)
 	w.Header().Set("Location", jobURL(id))
 	writeJSON(w, http.StatusAccepted, s.jobView(snap))
 }

@@ -106,8 +106,8 @@ func TestJobSweepByteIdenticalToSync(t *testing.T) {
 
 // TestJobPrimesResponseCache: a finished job's computation went through
 // the shared response cache, so the equivalent synchronous request —
-// including the legacy caps_w spelling of the same sweep — replays it
-// as a hit with identical bytes.
+// spelled with its keys reordered — replays it as a hit with identical
+// bytes.
 func TestJobPrimesResponseCache(t *testing.T) {
 	srv := testServer()
 	view := submitJob(t, srv,
@@ -118,13 +118,13 @@ func TestJobPrimesResponseCache(t *testing.T) {
 	}
 	res := doReq(t, srv, "GET", final.ResultURL, "")
 
-	legacy := doReq(t, srv, "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"caps_w":[240]}`)
-	if legacy.Code != 200 || legacy.Header().Get("X-Cache") != "hit" {
-		t.Fatalf("legacy-spelling sweep after job: status %d, X-Cache %q; want a 200 hit",
-			legacy.Code, legacy.Header().Get("X-Cache"))
+	sync := doReq(t, srv, "POST", "/v1/sweep", `{"values":[240],"axis":"powercap","iterations":2,"cluster":"CloudLab"}`)
+	if sync.Code != 200 || sync.Header().Get("X-Cache") != "hit" {
+		t.Fatalf("sync sweep after job: status %d, X-Cache %q; want a 200 hit",
+			sync.Code, sync.Header().Get("X-Cache"))
 	}
-	if !bytes.Equal(legacy.Body.Bytes(), res.Body.Bytes()) {
-		t.Fatal("legacy caps_w spelling returned different bytes than the axis-form job result")
+	if !bytes.Equal(sync.Body.Bytes(), res.Body.Bytes()) {
+		t.Fatal("sync sweep returned different bytes than the job result")
 	}
 }
 

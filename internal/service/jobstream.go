@@ -1,41 +1,39 @@
 package service
 
 // Replayable job streams: every async job records the NDJSON lines it
-// would have streamed — the same streamLine schema and byte-identical
-// payload chunks as GET /v1/stream/sweep — into a bounded, replayable
-// line log (jobs.Log). GET /v1/jobs/{id}/stream attaches at any point
-// in the job's life: it first replays every previously emitted line,
-// then follows live appends until the terminal summary/error line.
+// would have streamed — the same streamLine schema and payload pieces
+// as GET /v1/stream/sweep — into a bounded, replayable line log
+// (jobs.Log). GET /v1/jobs/{id}/stream attaches at any point in the
+// job's life: it first replays every previously emitted line, then
+// follows live appends until the terminal summary/error line.
 // Concatenating the payloads of a completed job stream reproduces the
-// job's result body (and therefore the synchronous endpoint's body)
-// byte for byte.
+// job's result body byte for byte.
 //
-// Line production has three sources, stitched so the invariant holds on
-// every path:
+// The lines are pieces of the result body's own encoder, so they need
+// no checking against it:
 //
-//   - Submit appends the start line (the body prefix — everything of
-//     the response known before any shard completes), so a follower
-//     attaching immediately after the 202 replays real content.
+//   - Submit appends the start line: the body prefix (sweepPrefix or
+//     requestPrefix), so a follower attaching right after the 202
+//     replays real content.
 //   - A sweep job's computation runs with a shard sink on its context
-//     (the same engine.WithSink channel the streaming endpoint uses):
-//     each completed variant appends its ordered body chunk. A job that
-//     COALESCES onto an in-flight identical computation — or replays a
-//     cached result — emits no shard lines; the shards belong to the
+//     (the engine.WithSink channel the streaming endpoint uses): each
+//     completed variant appends its sweepVariantChunk. A job that
+//     COALESCES onto an in-flight identical computation, or replays a
+//     cached result, emits no shard lines; the shards belong to the
 //     flight that started first.
-//   - A finalizer goroutine wakes on the job's terminal transition and
-//     appends the closing line: the body suffix when the shard lines
-//     assembled the full body, the whole remaining body when they did
-//     not (coalesced/cached sweeps, campaign jobs — whose simulation
-//     has no top-level shard structure to stream), or an in-band error
-//     line for failed/canceled jobs. Then it closes the log, ending
-//     every follower.
+//   - A finalizer appends the terminal line once the job ends and closes
+//     the log. A finished job's summary payload is the result body past
+//     the bytes already emitted: the suffix when every variant streamed
+//     live, everything after the prefix when none did (coalesced, cached,
+//     estimate and campaign jobs). A failed or canceled job gets an
+//     in-band error line.
 //
-// Journal-replayed jobs predate their process and have no log; the
-// stream handler synthesizes the two-line whole-body form from the
-// replayed result instead.
+// A journal-recovered job predates its process, so its log is rebuilt
+// pre-filled and closed: an empty start line, then the terminal line
+// carrying the whole body. Every job stream is served by one follow
+// loop.
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -53,8 +51,8 @@ import (
 // top-level shard + terminal, with generous headroom. Adaptive sweeps
 // can carry up to maxEstimateVariants shards, so the bound scales with
 // the job instead of assuming the plain-sweep cap. A producer exceeding
-// it truncates the log (jobs.Log) and the stream falls back to an
-// in-band error — it can no longer replay a byte-identical prefix.
+// it truncates the log (jobs.Log) and the stream ends in an in-band
+// error — it can no longer replay the body.
 func jobStreamLogLines(shards int) int {
 	if n := 2*shards + 16; n > 4*maxSweepVariants {
 		return n
@@ -63,82 +61,51 @@ func jobStreamLogLines(shards int) int {
 }
 
 // jobStream is one job's recorded stream. The unsynchronized fields
-// (assembled, emittedShards, broken) are written strictly in
-// happens-before order: the submit handler (start line) → the engine's
-// serialized sink calls → the finalizer (which runs after the job's
-// done channel closes, itself after the computation returned).
+// (emitted, broken) are written strictly in happens-before order: the
+// submit handler (start line) → the engine's serialized sink calls →
+// the finalizer (which runs after the job's done channel closes, itself
+// after the computation returned).
 type jobStream struct {
-	kind   string // "sweep" | "estimate" | "campaign"
-	prefix string
+	sweep  bool             // sweep job: variants stream as shard lines
 	axis   core.VariantAxis // sweep only
 	shards int              // expected top-level shard count (sweep only)
 	marked bool             // adaptive sweep: chunks carry source/bound
 	log    *jobs.Log
 
-	assembled     bytes.Buffer // concatenation of every emitted payload
-	emittedShards int
-	broken        bool // a line failed to render; fall back, never mix
+	emitted int  // payload bytes appended: always a prefix of the result body
+	broken  bool // a line failed to render; later payloads would not fit
 }
 
 // newJobStream builds the stream for a VALIDATED job request (the
 // payloads are normalized in place by jobComputation) and appends its
-// start line. A nil return (a marshal failure — not reachable for our
-// own structs) means the job runs streamless; the handler then serves
-// the synthesized whole-body form.
-func (s *Server) newJobStream(req *jobRequest) *jobStream {
+// start line. It fails only if the request section cannot be encoded,
+// in which case the job's own body could not be either.
+func newJobStream(req *jobRequest) (*jobStream, error) {
+	st := &jobStream{}
+	var prefix string
+	var err error
 	switch req.Kind {
 	case "sweep":
-		prefix, err := sweepStreamPrefix(*req.Sweep)
-		if err != nil {
-			return nil
-		}
-		axis, err := core.ParseVariantAxis(req.Sweep.Axis)
-		if err != nil {
-			return nil
-		}
-		st := &jobStream{
-			kind:   "sweep",
-			prefix: prefix,
-			axis:   axis,
-			shards: len(req.Sweep.Values),
-			marked: req.Sweep.Adaptive,
-			log:    jobs.NewLog(jobStreamLogLines(len(req.Sweep.Values))),
-		}
-		st.emit(streamLine{Kind: "start", Shards: st.shards, Shard: -1, Payload: prefix})
-		return st
+		// A normalized axis field is the canonical axis name.
+		st.sweep, st.axis = true, core.VariantAxis(req.Sweep.Axis)
+		st.shards, st.marked = len(req.Sweep.Values), req.Sweep.Adaptive
+		prefix, err = sweepPrefix(*req.Sweep)
 	case "estimate":
 		// An estimate computes in one piece (no top-level engine shards
-		// to stream), so the job records only the start line; the
-		// finalizer's whole-body branch closes it.
-		prefix, err := sweepStreamPrefix(*req.Estimate)
-		if err != nil {
-			return nil
-		}
-		st := &jobStream{kind: "estimate", prefix: prefix, log: jobs.NewLog(jobStreamLogLines(0))}
-		st.emit(streamLine{Kind: "start", Shards: 0, Shard: -1, Payload: prefix})
-		return st
-	case "campaign":
-		prefix, err := campaignStreamPrefix(*req.Campaign)
-		if err != nil {
-			return nil
-		}
-		st := &jobStream{kind: "campaign", prefix: prefix, log: jobs.NewLog(jobStreamLogLines(0))}
-		st.emit(streamLine{Kind: "start", Shards: 0, Shard: -1, Payload: prefix})
-		return st
+		// to stream); the summary line carries all of it.
+		prefix, err = sweepPrefix(*req.Estimate)
+	default: // "campaign"
+		prefix, err = requestPrefix(*req.Campaign)
 	}
-	return nil
+	if err != nil {
+		return nil, err
+	}
+	st.log = jobs.NewLog(jobStreamLogLines(st.shards))
+	st.emit(streamLine{Kind: "start", Shards: st.shards, Shard: -1, Payload: prefix})
+	return st, nil
 }
 
-// campaignStreamPrefix is the request section of the synchronous
-// campaign body — everything known before the simulation runs (the
-// campaign analogue of experimentStreamPrefix).
-func campaignStreamPrefix(req campaignRequest) (string, error) {
-	reqJSON, err := marshalSection(req)
-	return "{\n  \"request\": " + reqJSON + ",\n", err
-}
-
-// emit renders one line into the log and folds its payload into the
-// assembled-body check.
+// emit renders one line into the log and counts its payload bytes.
 func (st *jobStream) emit(l streamLine) {
 	b, err := json.Marshal(l)
 	if err != nil {
@@ -146,18 +113,14 @@ func (st *jobStream) emit(l streamLine) {
 		return
 	}
 	st.log.Append(string(b))
-	st.assembled.WriteString(l.Payload)
-	if l.Kind == "shard" {
-		st.emittedShards++
-	}
+	st.emitted += len(l.Payload)
 }
 
 // sinkContext attaches the stream's shard sink to a sweep job's
 // computation context. The engine serializes sink calls in shard order,
-// so the emitted chunks concatenate into the variants section exactly
-// as the streaming endpoint's do.
+// so the emitted chunks follow the prefix exactly as in renderSweep.
 func (st *jobStream) sinkContext(ctx context.Context) context.Context {
-	if st.kind != "sweep" {
+	if !st.sweep {
 		return ctx
 	}
 	sink := engine.ShardSink(func(shard, total int, v any) {
@@ -176,9 +139,9 @@ func (st *jobStream) sinkContext(ctx context.Context) context.Context {
 	return engine.WithSink(ctx, sink)
 }
 
-// registerJobStream publishes a job's stream for followers and starts
-// its finalizer. Stale entries (jobs the manager has since evicted) are
-// pruned once the table outgrows the retention bound.
+// registerJobStream publishes a job's stream for followers. Stale
+// entries (jobs the manager has since evicted) are pruned once the
+// table outgrows the retention bound.
 func (s *Server) registerJobStream(id string, st *jobStream) {
 	s.streams.mu.Lock()
 	if s.streams.byID == nil {
@@ -193,8 +156,17 @@ func (s *Server) registerJobStream(id string, st *jobStream) {
 	}
 	s.streams.byID[id] = st
 	s.streams.mu.Unlock()
-	if done, ok := s.jobs.Done(id); ok {
-		go s.finalizeJobStream(id, st, done)
+}
+
+// registerRecoveredJobStreams gives every journal-recovered job (all
+// terminal) its pre-filled, closed log: an empty start line, then the
+// terminal line carrying the whole result body.
+func (s *Server) registerRecoveredJobStreams() {
+	for _, snap := range s.jobs.Snapshots() {
+		st := &jobStream{log: jobs.NewLog(jobStreamLogLines(0))}
+		st.emit(streamLine{Kind: "start", Shard: -1})
+		s.finishJobStream(snap.ID, st)
+		s.registerJobStream(snap.ID, st)
 	}
 }
 
@@ -204,62 +176,40 @@ func (s *Server) jobStream(id string) *jobStream {
 	return s.streams.byID[id]
 }
 
-// finalizeJobStream appends the job's terminal line once it finishes
-// and closes the log. For a done job it verifies the invariant first:
-// the lines already emitted plus the closing chunk must equal the
-// result body exactly — if the shard lines assembled the variants
-// section, the suffix closes it; if no shards were emitted (coalesced,
-// cached, campaign), the whole remaining body is the closing chunk.
-func (s *Server) finalizeJobStream(id string, st *jobStream, done <-chan struct{}) {
-	<-done
+// finishJobStream appends a terminal job's last line and closes the
+// log. A finished job's summary payload is the part of the result body
+// not yet emitted: the lines so far are pieces of the body's own
+// encoder, in order, so they are always its prefix.
+func (s *Server) finishJobStream(id string, st *jobStream) {
 	defer st.log.Close()
+	fail := func(format string, args ...any) {
+		st.emit(streamLine{Kind: "error", Shards: st.shards, Shard: -1, Error: fmt.Sprintf(format, args...)})
+	}
 	res, snap, ok := s.jobs.Result(id)
 	if !ok {
-		st.emit(streamLine{Kind: "error", Shards: st.shards, Shard: -1,
-			Error: fmt.Sprintf("job %s was evicted before its stream completed; its result is gone", id)})
+		fail("job %s was evicted before its stream completed; its result is gone", id)
 		return
 	}
 	switch snap.State {
 	case jobs.StateDone:
-		body := res.body
-		if !st.broken && !st.log.Truncated() {
-			if st.kind == "sweep" && st.emittedShards == st.shards &&
-				bytes.Equal(append(append([]byte{}, st.assembled.Bytes()...), sweepStreamSuffix...), body) {
-				st.emitSummary(sweepStreamSuffix, body)
-				return
-			}
-			if st.emittedShards == 0 && bytes.HasPrefix(body, []byte(st.prefix)) {
-				st.emitSummary(string(body[len(st.prefix):]), body)
-				return
-			}
+		if st.broken || st.emitted > len(res.body) {
+			fail("internal: the job stream lost a line; fetch %s/result", jobURL(id))
+			return
 		}
-		// Defensive: the emitted lines cannot extend to the result body
-		// (a render failure, a truncated log, or schema drift). Followers
-		// get an explicit in-band error instead of a corrupt reassembly.
-		st.emit(streamLine{Kind: "error", Shards: st.shards, Shard: -1,
-			Error: fmt.Sprintf("internal: stream diverged from the job result; fetch %s/result", jobURL(id))})
+		sum := sha256.Sum256(res.body)
+		st.emit(streamLine{
+			Kind:    "summary",
+			Shards:  st.shards,
+			Shard:   -1,
+			Payload: string(res.body[st.emitted:]),
+			Bytes:   len(res.body),
+			SHA256:  hex.EncodeToString(sum[:]),
+		})
 	case jobs.StateCanceled:
-		st.emit(streamLine{Kind: "error", Shards: st.shards, Shard: -1,
-			Error: fmt.Sprintf("job %s was canceled", id)})
+		fail("job %s was canceled", id)
 	default: // failed
-		st.emit(streamLine{Kind: "error", Shards: st.shards, Shard: -1,
-			Error: fmt.Sprintf("job %s failed: %s", id, snap.Error)})
+		fail("job %s failed: %s", id, snap.Error)
 	}
-}
-
-// emitSummary appends the terminal summary line: the closing payload
-// chunk plus the full body's length and sha256, exactly as the
-// streaming endpoints' summaries describe their reassembled bodies.
-func (st *jobStream) emitSummary(payload string, body []byte) {
-	sum := sha256.Sum256(body)
-	st.emit(streamLine{
-		Kind:    "summary",
-		Shards:  st.shards,
-		Shard:   -1,
-		Payload: payload,
-		Bytes:   len(body),
-		SHA256:  hex.EncodeToString(sum[:]),
-	})
 }
 
 // handleJobStream serves GET /v1/jobs/{id}/stream: replay the job's
@@ -269,26 +219,15 @@ func (st *jobStream) emitSummary(payload string, body []byte) {
 // not from engine workers.
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.jobs.Get(id); !ok {
+	st := s.jobStream(id)
+	if _, ok := s.jobs.Get(id); !ok || st == nil {
+		// st is nil only in the instant between a job's submission and
+		// the registration of its stream.
 		writeError(w, http.StatusNotFound, "job_not_found", "unknown job %q (finished jobs expire after their TTL)", id)
 		return
 	}
-	st := s.jobStream(id)
-	if st == nil {
-		s.serveSynthesizedJobStream(w, r, id)
-		return
-	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
-	}
-	enc := json.NewEncoder(w)
-	ctx := r.Context()
+	flush := startNDJSON(w)
 	for from := 0; ; {
 		lines, done, more := st.log.Next(from)
 		for _, ln := range lines {
@@ -306,7 +245,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		if more != nil {
 			select {
 			case <-more:
-			case <-ctx.Done():
+			case <-r.Context().Done():
 				return
 			}
 		}
@@ -315,43 +254,8 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		// The bound was exceeded and the buffered history dropped — no
 		// byte-identical replay is possible. In-band error, like every
 		// other mid-stream failure.
-		_ = enc.Encode(streamLine{Kind: "error", Shards: st.shards, Shard: -1,
+		_ = json.NewEncoder(w).Encode(streamLine{Kind: "error", Shards: st.shards, Shard: -1,
 			Error: fmt.Sprintf("stream history truncated; fetch %s/result for the complete body", jobURL(id))})
 		flush()
-	}
-}
-
-// serveSynthesizedJobStream streams a job that has no recorded log — a
-// journal-replayed job from a previous process — as the two-line
-// whole-body form: an empty start line and a summary carrying the
-// entire result body. Non-terminal states cannot occur here (replayed
-// jobs are terminal by construction), but the wait is honored anyway.
-func (s *Server) serveSynthesizedJobStream(w http.ResponseWriter, r *http.Request, id string) {
-	done, ok := s.jobs.Done(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "job_not_found", "unknown job %q (finished jobs expire after their TTL)", id)
-		return
-	}
-	select {
-	case <-done:
-	case <-r.Context().Done():
-		return
-	}
-	res, snap, ok := s.jobs.Result(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "job_not_found", "unknown job %q (finished jobs expire after their TTL)", id)
-		return
-	}
-	sw := newStreamWriter(w)
-	sw.queue(streamLine{Kind: "start", Shards: 0, Shard: -1, Payload: ""})
-	switch snap.State {
-	case jobs.StateDone:
-		// The pump computes Bytes/SHA256 over the accumulated payloads —
-		// here exactly the result body.
-		sw.wait(streamLine{Kind: "summary", Shards: 0, Shard: -1, Payload: string(res.body)})
-	case jobs.StateCanceled:
-		sw.fail(0, fmt.Errorf("job %s was canceled", id))
-	default:
-		sw.fail(0, fmt.Errorf("job %s failed: %s", id, snap.Error))
 	}
 }

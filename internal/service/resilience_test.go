@@ -40,7 +40,7 @@ func withRetries(t *testing.T, attempts int) {
 // responses, and none of the chaos requests answers 5xx.
 func TestChaosByteIdentity(t *testing.T) {
 	requests := []struct{ name, method, target, body string }{
-		{"sweep", "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"caps_w":[300,250]}`},
+		{"sweep", "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"axis":"powercap","values":[300,250]}`},
 		{"campaign", "POST", "/v1/campaign", campaignBody},
 	}
 
@@ -95,8 +95,8 @@ func TestDegradedServingFromStale(t *testing.T) {
 		ResponseCacheSize: 1, // every new key evicts the previous one into the stale store
 	})
 	const (
-		bodyA = `{"cluster":"CloudLab","iterations":2,"caps_w":[300,250]}`
-		bodyB = `{"cluster":"CloudLab","iterations":2,"caps_w":[200,150]}`
+		bodyA = `{"cluster":"CloudLab","iterations":2,"axis":"powercap","values":[300,250]}`
+		bodyB = `{"cluster":"CloudLab","iterations":2,"axis":"powercap","values":[200,150]}`
 	)
 	rr := doReq(t, srv, "POST", "/v1/sweep", bodyA)
 	if rr.Code != 200 {
@@ -165,7 +165,7 @@ func TestNoStaleForClientErrors(t *testing.T) {
 	})
 	// A bad cluster name is a 404 from the computation; no amount of
 	// stale data should change that.
-	rr := doReq(t, srv, "POST", "/v1/sweep", `{"cluster":"Atlantis","iterations":2,"caps_w":[300]}`)
+	rr := doReq(t, srv, "POST", "/v1/sweep", `{"cluster":"Atlantis","iterations":2,"axis":"powercap","values":[300]}`)
 	if rr.Code/100 != 4 {
 		t.Fatalf("bad cluster: status %d, want a 4xx", rr.Code)
 	}
@@ -184,7 +184,7 @@ func TestJobJournalAcrossRestart(t *testing.T) {
 		DataDir: dir,
 	}
 	srv1 := mustNew(opts)
-	view := submitJob(t, srv1, `{"kind":"sweep","sweep":{"cluster":"CloudLab","iterations":2,"caps_w":[300,250]}}`)
+	view := submitJob(t, srv1, `{"kind":"sweep","sweep":{"cluster":"CloudLab","iterations":2,"axis":"powercap","values":[300,250]}}`)
 	waitFor(t, func() bool {
 		s, ok := srv1.jobs.Get(view.ID)
 		return ok && s.State == jobs.StateDone

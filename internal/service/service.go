@@ -89,6 +89,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -286,6 +287,7 @@ func New(opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.journal = j
+		s.registerRecoveredJobStreams()
 	}
 	if opts.RecordTrace != "" {
 		rec, err := traffic.NewRecorder(opts.RecordTrace, "gpuvard live capture")
@@ -702,17 +704,59 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 	_, _ = w.Write(res.body)
 }
 
+// decodeBody reads a POST body of at most limit bytes into v with the
+// strictness every POST route shares (an unknown field is a 400). It
+// answers a bad body itself and reports whether the handler goes on.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	body, err := io.ReadAll(io.LimitReader(r.Body, limit))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
+		return false
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: %v", err)
+		return false
+	}
+	return true
+}
+
 // jsonResponse marshals v into a cacheable 200 response.
 func jsonResponse(v any) (*cachedResponse, error) {
 	body, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err
 	}
-	return &cachedResponse{
-		status:      http.StatusOK,
-		contentType: "application/json",
-		body:        append(body, '\n'),
-	}, nil
+	return jsonBody(append(body, '\n')), nil
+}
+
+// jsonBody wraps a complete JSON body as a cacheable 200 response.
+func jsonBody(body []byte) *cachedResponse {
+	return &cachedResponse{status: http.StatusOK, contentType: "application/json", body: body}
+}
+
+// requestPrefix opens every sweep, estimate, experiment and campaign
+// body: the brace and the normalized request section, known before any
+// computation runs. Streams and job streams send it as their start
+// line; the sync encoders begin their bodies with it.
+func requestPrefix(req any) (string, error) {
+	reqJSON, err := json.MarshalIndent(req, "  ", "  ")
+	return "{\n  \"request\": " + string(reqJSON) + ",\n", err
+}
+
+// encodeAfterRequest is the body encoder of the responses whose
+// remainder is one piece (experiments, campaigns): prefix, then rest —
+// the response without its request section — marshalled as it nests in
+// the body, its opening "{\n" dropped.
+func encodeAfterRequest(prefix string, rest any) (*cachedResponse, error) {
+	b, err := json.MarshalIndent(rest, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	body := make([]byte, 0, len(prefix)+len(b))
+	body = append(append(append(body, prefix...), b[len("{\n"):]...), '\n')
+	return jsonBody(body), nil
 }
 
 // figureInfo is one catalog row.
@@ -893,14 +937,8 @@ func (s *Server) healthStatus() string {
 
 // handleHealthz answers liveness probes and exposes the same counters
 // as /v1/stats, so a single probe shows both that the server is up and
-// whether the engine is draining or wedged. The legacy unversioned
-// /healthz spelling still answers but advertises its successor via the
-// Deprecation and Link headers (RFC 8594 style).
+// whether the engine is draining or wedged.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/healthz" {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/healthz>; rel="successor-version"`)
-	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(healthzResponse{OK: true, Status: s.healthStatus(), statsResponse: s.snapshot()})
 }

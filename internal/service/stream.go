@@ -6,29 +6,30 @@ package service
 // for Summit-scale runs:
 //
 //	GET /v1/stream/sweep              the POST /v1/sweep body as query
-//	                                  params (values/caps_w comma-
-//	                                  separated); one line per variant
+//	                                  params (values comma-separated);
+//	                                  one line per variant
 //	GET /v1/stream/experiments/{name} the GET /v1/experiments/{name}
 //	                                  query; one line per engine shard
 //	                                  (a per-GPU measurement job)
 //
 // Each line is a JSON object with a "kind" ("start", "shard",
-// "summary", or "error") and a "payload" string. The payload carries a
-// chunk of the SYNCHRONOUS response body: concatenating every line's
-// payload, in order, reproduces the synchronous endpoint's bytes
-// exactly — the stream is a progressive encoding of the same response,
-// not a second schema. The terminal summary line carries the closing
-// chunk plus the body's total length and sha256, so a client can verify
-// the reassembly; on failure an "error" line replaces it.
+// "summary", or "error") and a "payload" string. The payloads, in
+// order, concatenate to the synchronous endpoint's body: each is a
+// piece of the same encoder the synchronous renderer runs (the request
+// prefix, the sweep's per-variant chunks, the closing remainder), so
+// the stream is a progressive encoding of the same response, not a
+// second schema. The terminal summary line carries the closing piece
+// plus the body's total length and sha256, so a client can verify the
+// reassembly; on failure an "error" line replaces it.
 //
 // The shard lines ride the engine's ordered per-shard sink
 // (engine.WithSink): the top-level job's shards — sweep variants,
 // per-GPU measurement jobs — are emitted in shard order the moment each
 // contiguous prefix completes, while nested jobs compute silently. A
-// sweep shard's payload is its variant's JSON entry; an experiment
-// shard's payload is empty (the summary section needs every
-// measurement), so its lines serve as ordered progress beacons and the
-// terminal line carries the body's remainder.
+// sweep shard's payload is its variant's chunk; an experiment shard's
+// payload is empty (the summary section needs every measurement), so
+// its lines are ordered progress beacons and the summary line carries
+// everything after the request prefix.
 //
 // Streams run under the interactive scheduling class (a held connection
 // with a client watching) but get the batch-length deadline
@@ -36,10 +37,10 @@ package service
 // that outlive RequestTimeout. A client disconnect cancels the
 // computation mid-shard exactly like the synchronous path. Streams
 // bypass the response cache on the way in (replaying a stored body
-// would defeat per-shard liveness) but verify and deposit their
-// assembled body on the way out, so a later synchronous request is a
-// cache hit; the compute layers below (fleet cache, steady-point
-// memoization, figure sessions) dedupe repeated streams.
+// would defeat per-shard liveness) but deposit their body on the way
+// out, so a later synchronous request is a cache hit; the compute
+// layers below (fleet cache, steady-point memoization, figure sessions)
+// dedupe repeated streams.
 
 import (
 	"bytes"
@@ -47,7 +48,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync"
 
@@ -117,17 +117,22 @@ type streamWriter struct {
 // Callers must end the stream with wait() (after queueing the terminal
 // line) so the pump drains and the payload buffer is complete.
 func newStreamWriter(w http.ResponseWriter) *streamWriter {
+	sw := &streamWriter{enc: json.NewEncoder(w), flush: startNDJSON(w), done: make(chan struct{})}
+	sw.cond = sync.NewCond(&sw.mu)
+	go sw.pump()
+	return sw
+}
+
+// startNDJSON writes an NDJSON stream's headers and returns its flush.
+func startNDJSON(w http.ResponseWriter) (flush func()) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("X-Accel-Buffering", "no") // proxies must not re-buffer the stream
 	w.WriteHeader(http.StatusOK)
-	sw := &streamWriter{enc: json.NewEncoder(w), flush: func() {}, done: make(chan struct{})}
 	if f, ok := w.(http.Flusher); ok {
-		sw.flush = f.Flush
+		return f.Flush
 	}
-	sw.cond = sync.NewCond(&sw.mu)
-	go sw.pump()
-	return sw
+	return func() {}
 }
 
 // queue hands one line to the pump without ever blocking on the wire.
@@ -198,41 +203,6 @@ func (s *Server) streamContext(r *http.Request) (context.Context, context.Cancel
 	return context.WithTimeout(ctx, s.opts.JobTimeout)
 }
 
-// marshalSection renders v as it appears nested one level deep in a
-// jsonResponse body (MarshalIndent with two-space indent).
-func marshalSection(v any) (string, error) {
-	b, err := json.MarshalIndent(v, "  ", "  ")
-	return string(b), err
-}
-
-// sweepStreamPrefix is everything of the synchronous sweep body that
-// precedes variant 0 — known before any shard completes, so the start
-// line carries real content immediately.
-func sweepStreamPrefix(req sweepRequest) (string, error) {
-	reqJSON, err := marshalSection(req)
-	return "{\n  \"request\": " + reqJSON + ",\n  \"variants\": [\n", err
-}
-
-// sweepVariantChunk is variant i's slice of the synchronous body: its
-// indented JSON entry plus the separator its position demands. marked
-// mirrors renderSweep's: true on adaptive sweeps, where every variant
-// carries its source.
-func sweepVariantChunk(axis core.VariantAxis, marked bool, p core.VariantPoint, i, n int) (string, error) {
-	vJSON, err := json.MarshalIndent(sweepVariantView(axis, marked, p), "    ", "  ")
-	if err != nil {
-		return "", err
-	}
-	sep := ","
-	if i == n-1 {
-		sep = ""
-	}
-	return "    " + string(vJSON) + sep + "\n", nil
-}
-
-// sweepStreamSuffix closes the body (jsonResponse appends the trailing
-// newline to the synchronous form; the stream must reproduce it).
-const sweepStreamSuffix = "  ]\n}\n"
-
 func (s *Server) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 	directive, err := parseRouteDirective(r)
 	if err != nil {
@@ -244,7 +214,6 @@ func (s *Server) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	legacy := len(req.CapsW) > 0
 	exp, axis, status, err := normalizeSweep(&req)
 	if err != nil {
 		writeError(w, status, errCode(err, status), "%v", err)
@@ -253,9 +222,8 @@ func (s *Server) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 	if s.redirectAffinityMiss(w, directive, sweepCacheKey(req)) {
 		return
 	}
-	markLegacySweep(w, legacy)
 	n := len(req.Values)
-	prefix, err := sweepStreamPrefix(req)
+	prefix, err := sweepPrefix(req)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 		return
@@ -282,14 +250,13 @@ func (s *Server) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 		val := p.Value
 		sw.queue(streamLine{Kind: "shard", Shards: total, Shard: shard, Value: &val, Payload: chunk})
 	})
-	var points []core.VariantPoint
 	if req.Adaptive {
 		// The adaptive run streams through the same sink: estimated
 		// shards land near-instantly, simulated ones as they finish (the
 		// calibration's anchor runs are sink-stripped inside core).
-		points, err = adaptiveSweepRun(engine.WithSink(ctx, sink), exp, axis, req.Values, req.Threshold)
+		_, err = adaptiveSweepRun(engine.WithSink(ctx, sink), exp, axis, req.Values, req.Threshold)
 	} else {
-		points, err = dispatchedSweepRun(engine.WithSink(ctx, sink), exp, axis, &req)
+		_, err = dispatchedSweepRun(engine.WithSink(ctx, sink), exp, axis, &req)
 	}
 	if err == nil {
 		err = chunkErr
@@ -298,21 +265,10 @@ func (s *Server) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 		sw.fail(n, err)
 		return
 	}
-	sw.wait(streamLine{Kind: "summary", Shards: n, Shard: -1, Payload: sweepStreamSuffix})
-
-	// Verify the progressive encoding against the synchronous renderer
-	// before depositing it: the cache must only ever hold bytes the
-	// synchronous endpoint would serve.
-	if sync, err := renderSweep(req, axis, req.Adaptive, points); err == nil && bytes.Equal(sw.body.Bytes(), sync.body) {
-		s.cache.prime(sweepCacheKey(req), sync)
-	}
-}
-
-// experimentStreamPrefix is the request section of the synchronous
-// experiment body — everything known before the fan-out.
-func experimentStreamPrefix(req experimentRequest) (string, error) {
-	reqJSON, err := marshalSection(req)
-	return "{\n  \"request\": " + reqJSON + ",\n", err
+	sw.wait(streamLine{Kind: "summary", Shards: n, Shard: -1, Payload: sweepSuffix})
+	// Every variant's chunk went out between the prefix and the suffix,
+	// so the payloads are renderSweep's body.
+	s.cache.prime(sweepCacheKey(req), jsonBody(sw.body.Bytes()))
 }
 
 func (s *Server) handleStreamExperiment(w http.ResponseWriter, r *http.Request) {
@@ -321,7 +277,7 @@ func (s *Server) handleStreamExperiment(w http.ResponseWriter, r *http.Request) 
 		writeError(w, status, errCode(err, status), "%v", err)
 		return
 	}
-	prefix, err := experimentStreamPrefix(req)
+	prefix, err := requestPrefix(req)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 		return
@@ -348,16 +304,9 @@ func (s *Server) handleStreamExperiment(w http.ResponseWriter, r *http.Request) 
 		sw.fail(shards, err)
 		return
 	}
-	full, err := jsonResponse(renderExperiment(req, res))
+	full, err := encodeAfterRequest(prefix, renderExperiment(req, res))
 	if err != nil {
 		sw.fail(shards, err)
-		return
-	}
-	if !bytes.HasPrefix(full.body, []byte(prefix)) {
-		// Defensive: the prefix is derived from the same struct the
-		// renderer marshals, so divergence means a schema bug — tell the
-		// client rather than emit a corrupt reassembly.
-		sw.fail(shards, fmt.Errorf("internal: streamed prefix diverged from the synchronous body"))
 		return
 	}
 	sw.wait(streamLine{Kind: "summary", Shards: shards, Shard: -1, Payload: string(full.body[len(prefix):])})

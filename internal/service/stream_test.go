@@ -126,24 +126,6 @@ func TestStreamSweepByteIdentityAllAxes(t *testing.T) {
 	}
 }
 
-// TestStreamSweepLegacyCapsWSpelling: the caps_w query spelling streams
-// the same bytes as the axis form (both normalize onto one fingerprint).
-func TestStreamSweepLegacyCapsWSpelling(t *testing.T) {
-	axisForm := doReq(t, testServer(), "GET", "/v1/stream/sweep?cluster=CloudLab&iterations=2&axis=powercap&values=240", "")
-	legacy := doReq(t, testServer(), "GET", "/v1/stream/sweep?cluster=CloudLab&iterations=2&caps_w=240", "")
-	if axisForm.Code != 200 || legacy.Code != 200 {
-		t.Fatalf("status %d / %d", axisForm.Code, legacy.Code)
-	}
-	_, p1 := decodeStream(t, axisForm.Body.Bytes())
-	_, p2 := decodeStream(t, legacy.Body.Bytes())
-	if !bytes.Equal(p1, p2) {
-		t.Fatal("caps_w spelling streamed different bytes than the axis form")
-	}
-	if !strings.Contains(string(p1), `"cap_w"`) {
-		t.Fatal("powercap stream lost the legacy cap_w response field")
-	}
-}
-
 // TestStreamExperimentByteIdentity: both detail levels of the
 // experiment endpoint stream payloads that reassemble into the
 // synchronous GET body, with one ordered shard line per engine shard.

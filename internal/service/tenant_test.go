@@ -112,26 +112,6 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 	}
 }
 
-// TestHealthzDeprecation: the legacy unversioned /healthz carries the
-// deprecation headers pointing at its successor; /v1/healthz does not.
-func TestHealthzDeprecation(t *testing.T) {
-	srv := testServer()
-	legacy := doReq(t, srv, "GET", "/healthz", "")
-	if legacy.Header().Get("Deprecation") != "true" {
-		t.Error("/healthz is missing the Deprecation header")
-	}
-	if link := legacy.Header().Get("Link"); !strings.Contains(link, "/v1/healthz") {
-		t.Errorf("/healthz Link = %q, want the /v1/healthz successor", link)
-	}
-	v1 := doReq(t, srv, "GET", "/v1/healthz", "")
-	if v1.Header().Get("Deprecation") != "" {
-		t.Error("/v1/healthz must not be marked deprecated")
-	}
-	if !bytes.Equal(legacy.Body.Bytes()[:20], v1.Body.Bytes()[:20]) {
-		t.Error("legacy and /v1 healthz bodies diverge")
-	}
-}
-
 // TestServiceFairnessTwoClients is the fairness acceptance test at the
 // service layer, over a real HTTP server: a noisy tenant saturates its
 // own per-client bound (429 scoped to the CLIENT, naming it), a quiet

@@ -28,8 +28,8 @@
 # identities (loadgen -clients 4 -api-key smoke) and asserts the
 # per-client accounting surfaces on /v1/stats and the Prometheus
 # /metrics exposition, a finished job's stream replays through a
-# terminal summary line, responses carry X-Request-ID, and the legacy
-# /healthz spelling advertises its deprecation.
+# terminal summary line, responses carry X-Request-ID, and the retired
+# spellings (the caps_w sweep field, GET /healthz) answer 400 and 404.
 #
 # A distributed stage boots a 3-replica fleet wired together with
 # -peers and asserts the dispatch layer's contracts: byte-identity with
@@ -241,30 +241,26 @@ if ! http_body GET "/v1/jobs/$STREAM_ID/stream" | tail -1 | grep -q '"kind":"sum
     exit 1
 fi
 
-# Front-door headers: every response carries a request id, and the
-# legacy /healthz spelling is marked deprecated with its successor.
+# Front-door headers: every response carries a request id. The retired
+# spellings are gone: caps_w is an unknown sweep field (400), and the
+# unversioned /healthz is an unknown route (404).
 if ! http GET /v1/healthz | grep -qi '^X-Request-Id:'; then
     echo "smoke: responses are missing X-Request-ID" >&2
     exit 1
 fi
-if ! http GET /healthz | grep -qi '^Deprecation: true'; then
-    echo "smoke: legacy /healthz is not marked deprecated" >&2
-    exit 1
-fi
-# The legacy caps_w sweep spelling still answers (the same bytes as the
-# axis spelling) but must advertise its deprecation and successor.
 CAPSW_RESP=$(http POST /v1/sweep '{"cluster":"CloudLab","caps_w":[300,250,200]}')
-if ! echo "$CAPSW_RESP" | grep -qi '^Deprecation: true'; then
-    echo "smoke: caps_w sweep response is not marked deprecated" >&2
+if ! echo "$CAPSW_RESP" | head -1 | grep -q ' 400 '; then
+    echo "smoke: the retired caps_w sweep spelling does not answer 400" >&2
     exit 1
 fi
-if ! echo "$CAPSW_RESP" | grep -qi '^Link: .*successor-version'; then
-    echo "smoke: caps_w sweep response lacks the successor Link header" >&2
+HEALTHZ_RESP=$(http GET /healthz)
+if ! echo "$HEALTHZ_RESP" | head -1 | grep -q ' 404 ' || ! echo "$HEALTHZ_RESP" | grep -q '"unknown_route"'; then
+    echo "smoke: the retired /healthz route does not answer 404 unknown_route" >&2
     exit 1
 fi
 # The discovery document enumerates the API surface, marking stability.
 DISCOVERY=$(http_body GET /v1/)
-for want in '"path":"/v1/sweep"' '"stability":"internal"' '"path":"/v1/internal/shards"' '"successor":"/v1/healthz"'; do
+for want in '"path":"/v1/sweep"' '"stability":"internal"' '"path":"/v1/internal/shards"'; do
     if ! echo "$DISCOVERY" | tr -d ' \n' | grep -q "$want"; then
         echo "smoke: GET /v1/ discovery document lacks $want" >&2
         exit 1

@@ -33,4 +33,5 @@ run cover-floor
 run fuzz-smoke
 run bench-smoke
 run bench-compare
+run perfbench-build
 echo "verify: all stages passed"
